@@ -57,14 +57,9 @@ from .analysis import (
 )
 from .solver import (
     FairDistribution,
-    PhaseState,
-    SatisfactionScale,
     SolverConfig,
-    binary_search_lambda,
-    feasibility_game,
     prune,
     sample,
-    satisfaction_scale,
     solve_maxmin,
 )
 
@@ -104,13 +99,8 @@ __all__ = [
     "MetricsReport",
     "metrics_for_distribution",
     "metrics_for_ranking",
-    "SatisfactionScale",
-    "satisfaction_scale",
     "SolverConfig",
-    "PhaseState",
     "FairDistribution",
-    "feasibility_game",
-    "binary_search_lambda",
     "solve_maxmin",
     "sample",
     "prune",

@@ -5,7 +5,8 @@ Subcommands::
     solve       compute a maxmin-fair distribution over valid rankings
     baseline    compute the deterministic merit-greedy ranking
     sample      draw one ranking from a stored distribution
-    metrics     re-evaluate a stored distribution against its instance
+    metrics     re-evaluate a stored distribution against its instance and
+                constraints
     decompose   exact satisfaction-block decomposition (small instances)
     experiment  compare fair and deterministic rankings over an alpha grid
 
@@ -33,6 +34,7 @@ from .core import (
     ValueModel,
     build_rule_constraints,
     is_feasible,
+    is_valid,
     to_upper_only,
 )
 from .errors import (
@@ -43,7 +45,7 @@ from .errors import (
     IterationCapExceeded,
     ParseError,
 )
-from .solver import FairDistribution, SolverConfig, sample as draw_sample, solve_maxmin
+from .solver import FairDistribution, SolverConfig, solve_maxmin
 
 __all__ = [
     "parse_instance",
@@ -162,13 +164,25 @@ def distribution_to_dict(distribution: FairDistribution) -> dict:
 
 
 def distribution_from_dict(
-    instance: Instance, value_model: ValueModel, data: dict
+    instance: Instance,
+    value_model: ValueModel,
+    data: dict,
+    constraints: ConstraintSet | None = None,
 ) -> FairDistribution:
     """Rebuild a distribution emitted by :func:`distribution_to_dict`,
-    re-evaluating satisfactions against the given instance and model."""
+    re-evaluating satisfactions against the given instance and model.
+
+    With ``constraints``, every stored ranking must satisfy them; the first
+    that does not raises ``ValueError`` naming its support atom.
+    """
     weighted = []
-    for entry in data["support"]:
+    for k, entry in enumerate(data["support"]):
         ranking = Ranking.from_ids(instance, entry["ranking"])
+        if constraints is not None and not is_valid(ranking, instance, constraints):
+            raise ValueError(
+                f"support atom {k} (ranking {list(entry['ranking'])}) "
+                "violates the constraints"
+            )
         weighted.append(
             (ranking, float(entry["probability"]), value_model.values(ranking))
         )
@@ -220,11 +234,7 @@ def _constraints_from_args(args, instance: Instance) -> ConstraintSet:
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        epsilon=args.epsilon,
-        rng_seed=args.seed,
-        prune_threshold=args.threshold,
-    )
+    return SolverConfig(epsilon=args.epsilon, prune_threshold=args.threshold)
 
 
 def _cmd_solve(args) -> dict:
@@ -272,7 +282,8 @@ def _cmd_metrics(args) -> dict:
     instance = _instance_from_args(args)
     value_model = _value_model(instance, args.value_fn, args.k)
     data = json.loads(_read(args.distribution))
-    distribution = distribution_from_dict(instance, value_model, data)
+    constraints = _constraints_from_args(args, instance)
+    distribution = distribution_from_dict(instance, value_model, data, constraints)
     payload = analysis.metrics_for_distribution(instance, distribution).to_dict()
     payload["expected_satisfaction"] = distribution.expected_by_id()
     return payload
@@ -305,7 +316,8 @@ def _cmd_experiment(args) -> dict:
     )
     protected = args.protected if args.protected is not None else instance.group_labels[0]
     rows = []
-    for i, alpha in enumerate(alphas):
+    config = _solver_config(args)
+    for alpha in alphas:
         constraints = to_upper_only(
             build_rule_constraints(
                 instance, "ceil-alpha", alpha=alpha,
@@ -315,11 +327,6 @@ def _cmd_experiment(args) -> dict:
         )
         if not is_feasible(instance, constraints):
             raise InfeasibleConstraints(f"alpha={alpha} admits no valid ranking")
-        config = SolverConfig(
-            epsilon=args.epsilon,
-            rng_seed=args.seed + i,
-            prune_threshold=args.threshold,
-        )
         distribution = solve_maxmin(instance, constraints, value_model, config)
         det = baseline_mod.deterministic_baseline(instance, constraints)
         fair_metrics = analysis.metrics_for_distribution(instance, distribution).to_dict()
@@ -369,7 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if solver:
             p.add_argument("--epsilon", type=float, default=0.01,
                            help="additive accuracy in value units")
-            p.add_argument("--seed", type=int, default=0)
             p.add_argument("--threshold", type=float, default=1e-9,
                            help="support prune threshold")
         p.add_argument("--output", default=None, help="write JSON here instead of stdout")
@@ -407,7 +413,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["position-diff", "log-ratio", "top-k"])
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threshold", type=float, default=1e-9)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_experiment)

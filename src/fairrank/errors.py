@@ -25,7 +25,8 @@ class InstanceTooLarge(FairRankingError):
 
 
 class IterationCapExceeded(FairRankingError):
-    """The solver ran out of its configured oracle-call budget."""
+    """The solver stalled before certifying its accuracy: it reached its
+    oracle-call cap or stopped making progress."""
 
 
 class ParseError(FairRankingError):

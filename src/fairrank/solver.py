@@ -5,60 +5,55 @@ per-individual expected values is lexicographically maximal: the worst
 expected value is as high as possible, then, holding everyone already tight
 at their level, the next worst, and so on.
 
-It works in phases.  A phase asks how high a common target the not yet
-frozen individuals can all reach in expectation while the frozen ones keep
-their recorded targets.  Whether a target vector ``b`` is reachable is a
-zero-sum game between a distribution over valid rankings and a distribution
-``w`` over individuals with payoff ``satisfaction(S, v) - b[v]``; ``b`` is
-reachable exactly when the game value is nonnegative.  The row player runs
-multiplicative weights, the column player answers with the greedy oracle,
-and the phase target is located by bisection over normalized satisfactions
-in ``[0, 1]``.  After each phase the individuals whose expected
-satisfaction sits at the phase target (within the approximation slack) are
-frozen; the loop ends when everyone is frozen, and the last accepted
-mixture is the answer.
+Every valid ranking hands out the same total value, and the greedy answer
+for a weight order is optimal for every top segment of that order.  So each
+oracle answer is the greedy (Edmonds) vertex of the submodular set function
+"best total value a set can get", and the expected-value vectors of all
+mixtures of valid rankings form that function's base polytope.  By
+Fujishige's theorem the lexicographically maxmin point of a base polytope
+is its minimum-norm point, and Wolfe's algorithm finds that point with a
+linear minimizer and small least-squares solves.  Minimizing ``x . q`` over
+the polytope is the greedy oracle with weights ``max(x) - x``: the shift by
+``max(x)`` adds the same amount to every vertex's objective and keeps the
+weights nonnegative.
 
-Two exact certificates keep the oracle-call counts far below the
-worst-case multiplicative-weights horizon, which stays in place only as a
-cap.  Upper: the greedy answer for an order ``pi`` is optimal for every
-weight vector sorted by ``pi``, in particular uniform weights on any top
-segment of ``pi``, so the best prefix-average margin of any answered
-ranking bounds the game value from above.  Lower: any mixture of already
-discovered rankings bounds the value from below, and the best such mixture
-is a small linear program over the discovered pool.  Bisection probes stop
-as soon as either certificate settles the accept/reject question.  Both
-certificates can be disabled, which leaves the plain fixed-horizon scheme.
+Each major cycle asks the oracle for the vertex ``q`` minimizing ``x . q``.
+The minimum-norm point ``x*`` satisfies ``x* . (x - x*) >= 0``, hence
+``|x - x*|^2 <= x . x - x . q``, and the square root of that gap bounds the
+error of every entry of the sorted vector.  A cheaper bound is checked
+before each oracle call: both ``x`` and ``x*`` give each individual a value
+between their worst and best attainable value, so the distance from ``x_u``
+to the farther end of that interval also bounds the error.  The solve stops
+as soon as either bound is at most ``epsilon``.  Between oracle calls, minor
+cycles move ``x`` to the affine minimizer of the active vertices, dropping
+vertices whose weight reaches zero; the active set stays affinely
+independent, so the support never exceeds ``n``.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import ConstraintSet, Instance, Ranking, ValueModel, is_feasible
 from .errors import InfeasibleConstraints, IterationCapExceeded
-from .oracle import OracleCache, best_response, weight_order_key
+from .oracle import best_response, weight_order_key
 
 logger = logging.getLogger(__name__)
 
-# Absolute slack absorbing float dust when a certificate lands exactly on
-# the accept threshold (bracket jumps aim there on purpose).
-_DUST = 1e-12
+# Affine weights at or below this count as zero: such a vertex moves x by
+# less than float dust, and keeping it would make the active set nearly
+# affinely dependent.
+_WEIGHT_DUST = 1e-12
 
 __all__ = [
-    "SatisfactionScale",
-    "satisfaction_scale",
     "SolverConfig",
-    "PhaseState",
     "RankedAtom",
     "FairDistribution",
-    "feasibility_game",
-    "binary_search_lambda",
     "solve_maxmin",
     "sample",
     "prune",
@@ -66,79 +61,26 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SatisfactionScale:
-    """Affine map between raw values and game units.
-
-    Raw values live in ``[vmin, vmax]``; the map sends that interval onto
-    ``[0, 1]``.  A degenerate range (every ranking gives every individual
-    the same value) maps identically.
-    """
-
-    vmin: float
-    vmax: float
-
-    @property
-    def degenerate(self) -> bool:
-        return not self.vmax > self.vmin
-
-    @property
-    def shift(self) -> float:
-        return 0.0 if self.degenerate else self.vmin
-
-    @property
-    def scale(self) -> float:
-        return 1.0 if self.degenerate else 1.0 / (self.vmax - self.vmin)
-
-    def to_unit(self, values):
-        return (np.asarray(values, dtype=float) - self.shift) * self.scale
-
-    def from_unit(self, values):
-        out = np.asarray(values, dtype=float) / self.scale + self.shift
-        return float(out) if out.ndim == 0 else out
-
-
-def satisfaction_scale(value_model: ValueModel) -> SatisfactionScale:
-    """The normalization induced by a value model's extreme values."""
-    return SatisfactionScale(value_model.vmin, value_model.vmax)
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     """Solver knobs.
 
-    ``epsilon`` is the additive accuracy of the output satisfactions, in
-    the same units as the value model.  The certificate flags default on;
-    turning both off reproduces the plain fixed-horizon game, which is
-    exponentially slower and useful only for audits.  ``use_variable_step``
-    is reserved; the variable step-size schedule is not implemented.
+    ``epsilon`` is the certified additive accuracy of every entry of the
+    sorted expected-value vector, in the same units as the value model.
+    ``max_iterations_cap`` bounds the oracle calls of one solve; reaching it
+    raises :class:`IterationCapExceeded` instead of returning a vector.
     """
 
     epsilon: float = 0.01
-    rng_seed: int = 0
     prune_threshold: float = 1e-9
     max_iterations_cap: int = 50_000_000
-    max_game_rounds: int = 100_000
-    use_dual_certificates: bool = True
-    use_restricted_lp: bool = True
-    use_doubling_trick: bool = False
-    use_variable_step: bool = False
 
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if not 0 <= self.prune_threshold < 1:
             raise ValueError("prune threshold must lie in [0, 1)")
-        if self.max_iterations_cap < 1 or self.max_game_rounds < 1:
-            raise ValueError("iteration caps must be at least 1")
-
-
-@dataclass(frozen=True)
-class PhaseState:
-    """Carry-over between phases: normalized targets of the frozen
-    individuals (by index) and the level the previous phase reached."""
-
-    frozen_targets: Mapping[int, float] = field(default_factory=dict)
-    lambda_star: float | None = None
+        if self.max_iterations_cap < 1:
+            raise ValueError("the iteration cap must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,9 +98,9 @@ class FairDistribution:
 
     Duplicate rankings are merged and probabilities renormalized at
     construction, so ``expected`` always matches the support exactly.
-    ``lambda_phases`` records the per-phase levels in raw value units;
-    ``oracle_calls`` counts every greedy-oracle consultation made while
-    producing the distribution.
+    ``lambda_phases`` records the distinct satisfaction levels in raw value
+    units; ``oracle_calls`` counts every greedy-oracle consultation made
+    while producing the distribution.
     """
 
     __slots__ = (
@@ -231,433 +173,6 @@ class FairDistribution:
         )
 
 
-def _softmax(logw: np.ndarray) -> np.ndarray:
-    w = np.exp(logw - logw.max())
-    return w / w.sum()
-
-
-def feasibility_game(
-    instance: Instance,
-    constraints: ConstraintSet,
-    value_model: ValueModel,
-    targets: Sequence[float],
-    iterations: int,
-    rng=None,
-    cache: OracleCache | None = None,
-) -> tuple[float, list[tuple[Ranking, float]]]:
-    """Fixed-horizon multiplicative-weights play of the target game.
-
-    Runs exactly ``iterations`` rounds with the fixed step size
-    ``min(1/2, sqrt(ln n / iterations))`` and returns the averaged
-    minimax estimate together with the uniform mixture of the oracle
-    answers.  The estimate never falls below the true game value and
-    exceeds it by at most ``2 * sqrt(ln n / iterations)``.  ``targets``
-    are in normalized units.  ``rng`` is accepted for signature
-    compatibility; the procedure is deterministic.
-    """
-    if iterations < 1:
-        raise ValueError("iterations must be at least 1")
-    n = instance.n
-    b = np.asarray(targets, dtype=float)
-    if b.shape != (n,):
-        raise ValueError("need one target per individual")
-    scale = satisfaction_scale(value_model)
-    cache = cache if cache is not None else OracleCache()
-    eta = min(0.5, math.sqrt(math.log(n) / iterations)) if n > 1 else 0.0
-    logw = np.zeros(n)
-    counts: dict[Ranking, int] = {}
-    estimate = 0.0
-    for _ in range(iterations):
-        w = _softmax(logw)
-        res = best_response(instance, constraints, value_model, w, cache)
-        margins = scale.to_unit(res.values) - b
-        estimate += float(w @ margins)
-        counts[res.ranking] = counts.get(res.ranking, 0) + 1
-        logw -= eta * margins
-    mixture = [(r, c / iterations) for r, c in counts.items()]
-    return estimate / iterations, mixture
-
-
-class _Column:
-    """One discovered ranking: the weight order that produced it, its raw
-    values and their normalized image (also pre-permuted into that order
-    for the prefix dual bound)."""
-
-    __slots__ = ("idx", "order", "ranking", "values", "unit", "unit_ordered")
-
-    def __init__(self, idx, order, ranking, values, unit):
-        self.idx = idx
-        self.order = order
-        self.ranking = ranking
-        self.values = values
-        self.unit = unit
-        self.unit_ordered = unit[order]
-
-
-class _ProbeBudgetExceeded(Exception):
-    """Internal: the doubling wrapper's probe allowance ran out."""
-
-
-class _SolveEngine:
-    """Shared state for one solve: the oracle cache, the pool of discovered
-    columns, and the certified game probes built on them."""
-
-    def __init__(
-        self,
-        instance: Instance,
-        constraints: ConstraintSet,
-        value_model: ValueModel,
-        scale: SatisfactionScale,
-        config: SolverConfig,
-    ):
-        self.instance = instance
-        self.constraints = constraints
-        self.value_model = value_model
-        self.scale = scale
-        self.config = config
-        self.cache = OracleCache()
-        self.columns: list[_Column] = []
-        self._key_to_col: dict[tuple[int, ...], _Column] = {}
-        self.oracle_calls = 0
-        self.probes = 0
-        self.probe_limit: int | None = None
-        n = instance.n
-        self._prefix_sizes = np.arange(1, n + 1, dtype=float)
-        self._log_n = math.log(n) if n > 1 else 0.0
-        self._stack_units: np.ndarray | None = None
-        self._stack_ordered: np.ndarray | None = None
-        self._stack_orders: np.ndarray | None = None
-
-    def consult(self, weights: np.ndarray) -> _Column:
-        if self.oracle_calls >= self.config.max_iterations_cap:
-            raise IterationCapExceeded(
-                f"exceeded the configured cap of "
-                f"{self.config.max_iterations_cap} oracle calls"
-            )
-        self.oracle_calls += 1
-        key = weight_order_key(self.instance, weights)
-        col = self._key_to_col.get(key)
-        if col is None:
-            res = best_response(
-                self.instance, self.constraints, self.value_model, weights, self.cache
-            )
-            unit = self.scale.to_unit(res.values)
-            col = _Column(
-                len(self.columns), np.array(key, dtype=int), res.ranking,
-                res.values, unit,
-            )
-            self.columns.append(col)
-            self._key_to_col[key] = col
-            self._stack_units = self._stack_ordered = self._stack_orders = None
-        return col
-
-    def _stacks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._stack_units is None:
-            self._stack_units = np.stack([c.unit for c in self.columns])
-            self._stack_ordered = np.stack([c.unit_ordered for c in self.columns])
-            self._stack_orders = np.stack([c.order for c in self.columns])
-        return self._stack_units, self._stack_ordered, self._stack_orders
-
-    def pool_dual_bound(self, b: np.ndarray) -> float:
-        """Exact upper bound on the game value at targets ``b`` from every
-        discovered column's prefix-average margins."""
-        _, ordered, orders = self._stacks()
-        margins = ordered - b[orders]
-        prefix_means = np.cumsum(margins, axis=1) / self._prefix_sizes
-        return float(prefix_means.min())
-
-    def pool_lp(
-        self, b: np.ndarray
-    ) -> tuple[float, list[tuple[_Column, float]], np.ndarray | None]:
-        """Best mixture of discovered columns against targets ``b``.
-
-        Returns the mixture's recomputed worst margin (a certified lower
-        bound on the game value), the mixture itself, and the dual weights
-        over individuals, which are the restricted game's optimal
-        row strategy and the best next point to consult the oracle at.
-        """
-        units, _, _ = self._stacks()
-        m, n = units.shape
-        cost = np.zeros(m + 1)
-        cost[-1] = -1.0
-        a_ub = np.hstack([-units.T, np.ones((n, 1))])
-        a_eq = np.concatenate([np.ones(m), [0.0]])[None, :]
-        res = linprog(
-            cost,
-            A_ub=a_ub,
-            b_ub=-b,
-            A_eq=a_eq,
-            b_eq=[1.0],
-            bounds=[(0.0, None)] * m + [(None, None)],
-            method="highs",
-        )
-        dual = None
-        if res.success:
-            p = np.clip(res.x[:m], 0.0, None)
-            marginals = getattr(res.ineqlin, "marginals", None)
-            if marginals is not None:
-                dual = np.clip(-np.asarray(marginals, dtype=float), 0.0, None)
-                total = dual.sum()
-                dual = dual / total if total > 0 else None
-        else:  # numerically stuck; fall back to the uniform pool mixture
-            p = np.ones(m)
-        p = p / p.sum()
-        value = float((units.T @ p - b).min())
-        mixture = [
-            (self.columns[i], float(p[i])) for i in range(m) if p[i] > 0.0
-        ]
-        return value, mixture, dual
-
-    def probe(
-        self,
-        b: np.ndarray,
-        delta: float,
-        budget: int,
-        want_mixture_on_reject: bool = False,
-    ):
-        """Play the game at targets ``b`` until a certificate (or the round
-        budget) settles whether the value is above ``-delta/2``.
-
-        With the restricted pool program enabled, weights move to the
-        restricted game's dual optimum after every pool growth; the oracle
-        then either supplies a genuinely new column or proves the
-        restricted value exact, so the probe resolves after finitely many
-        rounds regardless of ``delta``.  With it disabled, weights follow
-        the multiplicative-weights update.
-
-        Returns ``(accepted, mixture, value)``: the mixture is a list of
-        ``(_Column, probability)`` pairs; the value is a certified lower
-        bound on the game value when accepting and a certified upper bound
-        when rejecting (``-inf``/``None`` placeholders when a rejection is
-        not asked to justify itself).
-        """
-        if self.probe_limit is not None and self.probes >= self.probe_limit:
-            raise _ProbeBudgetExceeded
-        self.probes += 1
-        n = self.instance.n
-        half = delta / 2.0
-        # Bracket jumps re-probe targets where the game value sits exactly on
-        # the threshold; the dust keeps those from flapping into rejections.
-        accept_at = -(half + _DUST)
-        certs = self.config.use_dual_certificates
-        lp_on = self.config.use_restricted_lp
-        logw = np.zeros(n)
-        w = _softmax(logw)
-        sum_unit = np.zeros(n)
-        counts: dict[int, int] = {}
-        estimate_sum = 0.0
-        upper = math.inf
-        last_lp_size = -1
-        rounds = 0
-
-        def uniform_mixture():
-            return [
-                (self.columns[i], c / rounds) for i, c in sorted(counts.items())
-            ]
-
-        while rounds < budget:
-            rounds += 1
-            col = self.consult(w)
-            margins = col.unit - b
-            estimate_sum += float(w @ margins)
-            counts[col.idx] = counts.get(col.idx, 0) + 1
-            sum_unit += col.unit
-            if certs:
-                # The oracle answer maximizes the weighted margin at the
-                # current weights, and every fixed weight vector bounds the
-                # game value from above by its best-response margin; so do
-                # uniform weights on any top segment of the answer's order.
-                upper = min(upper, float(w @ margins))
-                ordered_margins = col.unit_ordered - b[col.order]
-                prefix_means = np.cumsum(ordered_margins) / self._prefix_sizes
-                upper = min(upper, float(prefix_means.min()))
-                if rounds == 1 and len(self.columns) > 1:
-                    upper = min(upper, self.pool_dual_bound(b))
-                if upper < accept_at:
-                    break
-            value_lb = float((sum_unit / rounds - b).min())
-            if value_lb >= accept_at:
-                return True, uniform_mixture(), value_lb
-            dual = None
-            if lp_on and len(self.columns) != last_lp_size:
-                lp_value, lp_mix, dual = self.pool_lp(b)
-                last_lp_size = len(self.columns)
-                if lp_value >= accept_at:
-                    return True, lp_mix, lp_value
-            if dual is not None:
-                w = dual
-            else:
-                eta = min(0.5, math.sqrt(self._log_n / rounds)) if n > 1 else 0.0
-                logw -= eta * margins
-                w = _softmax(logw)
-        else:
-            # Round budget exhausted without a verdict from the running
-            # certificates; settle it with the sharpest tool available.
-            if lp_on:
-                lp_value, lp_mix, _ = self.pool_lp(b)
-                if lp_value >= accept_at:
-                    return True, lp_mix, lp_value
-            elif not certs:
-                estimate = estimate_sum / rounds
-                if estimate >= accept_at:
-                    return True, uniform_mixture(), estimate
-
-        if want_mixture_on_reject:
-            best_value = float((sum_unit / rounds - b).min())
-            best_mix = uniform_mixture()
-            if lp_on:
-                lp_value, lp_mix, _ = self.pool_lp(b)
-                if lp_value > best_value:
-                    best_value, best_mix = lp_value, lp_mix
-            return False, best_mix, best_value
-        return False, None, upper if certs else -math.inf
-
-    def search(
-        self, frozen: Mapping[int, float], delta: float, budget: int
-    ) -> tuple[float, list[tuple[_Column, float]]]:
-        """Bisection for the highest common normalized target the unfrozen
-        individuals can all reach, given the frozen targets.
-
-        Certificates let the brackets move further than plain halving: an
-        accepted mixture whose unfrozen satisfactions all clear ``m`` also
-        certifies every target up to ``m + delta/2``, and a rejection with
-        game value at most ``u`` rules out every target above
-        ``mid + u + delta/2`` because raising all unfrozen targets by ``d``
-        lowers the game value by at most ``d``.
-        """
-        n = self.instance.n
-        half = delta / 2.0
-        lo = max(frozen.values(), default=0.0)
-        frozen_idx = np.fromiter(frozen.keys(), dtype=int, count=len(frozen))
-        frozen_val = np.fromiter(frozen.values(), dtype=float, count=len(frozen))
-        unfrozen = np.array(
-            [v for v in range(n) if v not in frozen], dtype=int
-        )
-
-        def targets(lam: float) -> np.ndarray:
-            b = np.full(n, lam)
-            if len(frozen_idx):
-                b[frozen_idx] = frozen_val
-            return b
-
-        def certified_level(mix, floor: float) -> float:
-            reached = float(_mixture_unit(mix, n)[unfrozen].min()) + half
-            return max(floor, reached)
-
-        accepted, mixture, value = self.probe(
-            targets(lo), delta, budget, want_mixture_on_reject=True
-        )
-        lam = lo
-        if accepted:
-            hi = 1.0
-            lam = min(hi, certified_level(mixture, lam))
-            if hi - lam > half:
-                ok, mix, value = self.probe(targets(hi), delta, budget)
-                if ok:
-                    return hi, mix
-                if math.isfinite(value) and value < -half:
-                    hi = max(lam, hi + value + half)
-                while hi - lam > half:
-                    mid = 0.5 * (lam + hi)
-                    ok, mix, value = self.probe(targets(mid), delta, budget)
-                    if ok:
-                        mixture = mix
-                        lam = min(hi, certified_level(mix, mid))
-                    else:
-                        hi = mid
-                        if math.isfinite(value) and value < -half:
-                            hi = max(lam, mid + value + half)
-        else:
-            logger.debug(
-                "phase floor %.6f not certifiable (value %.3g); keeping "
-                "best-effort mixture", lo, value,
-            )
-        return lam, mixture
-
-
-def _mixture_unit(mixture: Sequence[tuple[_Column, float]], n: int) -> np.ndarray:
-    out = np.zeros(n)
-    for col, p in mixture:
-        out += p * col.unit
-    return out
-
-
-def _default_delta(eps_unit: float, n: int) -> float:
-    return eps_unit / (2.0 * n * max(1.0, math.log(n / eps_unit)))
-
-
-def _round_budget(n: int, delta: float, config: SolverConfig) -> int:
-    if n > 1:
-        horizon = math.ceil(16.0 * math.log(n) / delta**2)
-    else:
-        horizon = 1
-    return max(1, min(horizon, config.max_game_rounds))
-
-
-def _run_phases(engine: _SolveEngine, delta: float, budget: int):
-    """Freeze individuals phase by phase until everyone has a target."""
-    n = engine.instance.n
-    frozen: dict[int, float] = {}
-    lambdas: list[float] = []
-    mixture: list[tuple[_Column, float]] = []
-    while len(frozen) < n:
-        lam, mixture = engine.search(frozen, delta, budget)
-        satisfied = _mixture_unit(mixture, n)
-        rest = [v for v in range(n) if v not in frozen]
-        window = [v for v in rest if satisfied[v] <= lam + delta + 1e-12]
-        if not window:
-            window = [min(rest, key=lambda v: satisfied[v])]
-        stuck = _confirm_stuck(engine, frozen, rest, window, lam, delta, budget)
-        if not stuck:
-            # Everyone in the window demonstrated headroom, which can only
-            # happen when the phase level itself is slack; freezing the
-            # least satisfied individual keeps the loop moving and costs at
-            # most the usual approximation allowance.
-            stuck = [min(window, key=lambda v: satisfied[v])]
-        for v in stuck:
-            frozen[v] = lam
-        lambdas.append(lam)
-        logger.debug(
-            "phase %d: level %.6f, %d frozen, %d oracle calls",
-            len(lambdas), lam, len(frozen), engine.oracle_calls,
-        )
-    return frozen, lambdas, mixture
-
-
-def _confirm_stuck(
-    engine: _SolveEngine,
-    frozen: Mapping[int, float],
-    rest: Sequence[int],
-    window: Sequence[int],
-    lam: float,
-    delta: float,
-    budget: int,
-) -> list[int]:
-    """Filter the freeze window down to individuals that provably cannot
-    beat the phase level.
-
-    A mixture that certifies the phase level is free to leave slack-less
-    individuals exactly at it, so sitting at the level is only a hint.  An
-    individual stays unfrozen when a probe shows the rest of the field can
-    hold the level while it does strictly better.
-    """
-    n = engine.instance.n
-    bump = min(1.0, lam + 2.0 * delta)
-    if len(window) == len(rest) == 1 or bump <= lam + _DUST:
-        return list(window)
-    base = np.full(n, lam)
-    for v, target in frozen.items():
-        base[v] = target
-    stuck = []
-    for v in window:
-        b = base.copy()
-        b[v] = bump
-        escaped, _, _ = engine.probe(b, delta, budget)
-        if not escaped:
-            stuck.append(v)
-    return stuck
-
-
 def _validated_inputs(
     instance: Instance, constraints: ConstraintSet, value_model: ValueModel
 ) -> None:
@@ -671,30 +186,59 @@ def _validated_inputs(
         raise InfeasibleConstraints("no valid ranking satisfies the bounds")
 
 
-def binary_search_lambda(
-    instance: Instance,
-    constraints: ConstraintSet,
-    value_model: ValueModel,
-    state: PhaseState | None = None,
-    config: SolverConfig | None = None,
-) -> tuple[float, list[tuple[Ranking, float]]]:
-    """Run a single phase from the given state.
+def _affine_minimizer(points: np.ndarray) -> np.ndarray:
+    """Affine weights (summing to one) of the minimum-norm point in the
+    affine hull of the rows of ``points``.
 
-    Returns the highest certifiable common normalized target of the
-    unfrozen individuals, plus a mixture (as ``(Ranking, probability)``
-    pairs) meeting every target up to the approximation slack.
+    Written as ``points[0] + sum_i beta_i (points[i] - points[0])``, the
+    point is a least-squares solution, which stays accurate when the rows
+    are nearly affinely dependent.
     """
-    config = config or SolverConfig()
-    _validated_inputs(instance, constraints, value_model)
-    scale = satisfaction_scale(value_model)
-    eps_unit = config.epsilon * scale.scale
-    delta = _default_delta(eps_unit, instance.n)
-    engine = _SolveEngine(instance, constraints, value_model, scale, config)
-    frozen = dict(state.frozen_targets) if state is not None else {}
-    lam, mixture = engine.search(
-        frozen, delta, _round_budget(instance.n, delta, config)
-    )
-    return lam, [(col.ranking, p) for col, p in mixture]
+    if len(points) == 1:
+        return np.ones(1)
+    base = points[0]
+    beta = np.linalg.lstsq((points[1:] - base).T, -base, rcond=None)[0]
+    return np.concatenate(([1.0 - beta.sum()], beta))
+
+
+def _minor_cycles(points: np.ndarray, weights: np.ndarray, active: list[Ranking]):
+    """Move the convex weights toward the active set's affine minimizer.
+
+    When the minimizer lies inside the active set's convex hull, its
+    weights are the answer.  Otherwise step from the current weights
+    toward it until the first weight reaches zero, drop that vertex, and
+    try again.  Returns the surviving points, weights and rankings, and the
+    number of affine solves made.
+    """
+    solves = 0
+    while True:
+        alpha = _affine_minimizer(points)
+        solves += 1
+        if alpha.min() > _WEIGHT_DUST:
+            return points, alpha, active, solves
+        falling = np.flatnonzero(alpha <= _WEIGHT_DUST)
+        drop = weights[falling] - alpha[falling]
+        ratios = np.divide(
+            weights[falling], drop, out=np.zeros(len(falling)), where=drop > 0
+        )
+        first = int(ratios.argmin())
+        theta = min(1.0, float(ratios[first]))
+        weights = (1.0 - theta) * weights + theta * alpha
+        keep = weights > _WEIGHT_DUST
+        keep[falling[first]] = False
+        points = points[keep]
+        active = [r for r, k in zip(active, keep) if k]
+        weights = weights[keep] / weights[keep].sum()
+
+
+def _levels(x: np.ndarray, bound: float) -> list[float]:
+    """Distinct satisfaction levels of ``x``: sorted entries no further
+    apart than two error bounds may share a level of the optimum, so runs
+    of such neighbours merge and report their mean."""
+    xs = np.sort(x)
+    dust = 1e-9 * max(1.0, float(np.abs(xs).max()))
+    breaks = np.flatnonzero(np.diff(xs) > 2.0 * bound + dust) + 1
+    return [float(run.mean()) for run in np.split(xs, breaks)]
 
 
 def solve_maxmin(
@@ -710,58 +254,86 @@ def solve_maxmin(
     expected-satisfaction vector matches the lexicographic optimum to
     within ``config.epsilon`` per entry, support atoms below the prune
     threshold are dropped, and the run is deterministic for fixed inputs
-    and configuration.
+    and configuration.  A solve that stalls raises
+    :class:`IterationCapExceeded` with the reason and the last certified
+    bound: the oracle-call cap is reached, the oracle returns a vertex
+    already in the active set, or a major cycle fails to shorten ``x``.
+
+    Each solve logs one INFO line with the keys ``oracle_calls``,
+    ``iterations`` (affine solves of the minor cycles), ``support``,
+    ``bound`` (the certified per-entry error) and ``stop`` (``gap`` or
+    ``box``, the bound that ended the solve).
     """
     config = config or SolverConfig()
-    if config.use_variable_step:
-        raise NotImplementedError(
-            "the variable step-size schedule is reserved but not implemented"
-        )
     _validated_inputs(instance, constraints, value_model)
-    scale = satisfaction_scale(value_model)
-    eps_unit = config.epsilon * scale.scale
-    n = instance.n
+    eps = config.epsilon
+    f = np.asarray(value_model.position_scores)
+    g = np.asarray(value_model.merit_scores)
+    lowest, highest = f[-1] - g, f[0] - g
+    found: dict[tuple[int, ...], tuple[Ranking, np.ndarray]] = {}
+    calls = 0
+    solves = 0
+    bound = math.inf
 
-    def attempt(delta: float, probe_limit: int | None):
-        engine = _SolveEngine(instance, constraints, value_model, scale, config)
-        engine.probe_limit = probe_limit
-        budget = _round_budget(n, delta, config)
-        try:
-            result = _run_phases(engine, delta, budget)
-        except _ProbeBudgetExceeded:
-            result = None
-        return engine, result
+    def stalled(reason: str) -> IterationCapExceeded:
+        return IterationCapExceeded(
+            f"solver stalled: {reason} after {calls} oracle calls, "
+            f"certified bound {bound:.6g} > epsilon {eps:g}"
+        )
 
-    total_calls = 0
-    if config.use_doubling_trick:
-        m = 2
-        m_cap = 2.0 * n * max(1.0, math.log(n / eps_unit))
-        while True:
-            engine, result = attempt(eps_unit / (2.0 * m), probe_limit=m)
-            total_calls += engine.oracle_calls
-            if result is not None:
-                break
-            m *= 2
-            if m >= m_cap:
-                engine, result = attempt(_default_delta(eps_unit, n), None)
-                total_calls += engine.oracle_calls
-                break
-    else:
-        engine, result = attempt(_default_delta(eps_unit, n), None)
-        total_calls += engine.oracle_calls
-    assert result is not None
-    _, lambdas, mixture = result
+    def vertex(weights: np.ndarray) -> tuple[Ranking, np.ndarray]:
+        nonlocal calls
+        if calls >= config.max_iterations_cap:
+            raise stalled(f"reached the cap of {config.max_iterations_cap} oracle calls")
+        calls += 1
+        key = weight_order_key(instance, weights)
+        hit = found.get(key)
+        if hit is None:
+            res = best_response(instance, constraints, value_model, weights)
+            hit = found[key] = (res.ranking, res.values)
+        return hit
 
-    atoms = [(col.ranking, p, col.values) for col, p in mixture]
+    ranking, q = vertex(np.zeros(instance.n))
+    active = [ranking]
+    points = q[None, :]
+    weights = np.ones(1)
+    x = q
+    while True:
+        box = float(np.maximum(x - lowest, highest - x).max())
+        if box <= eps:
+            bound, stop = box, "box"
+            break
+        ranking, q = vertex(x.max() - x)
+        bound = min(box, math.sqrt(max(0.0, float(x @ (x - q)))))
+        if bound <= eps:
+            stop = "gap"
+            break
+        if ranking in active:
+            raise stalled("the oracle returned an active vertex")
+        norm = float(x @ x)
+        active.append(ranking)
+        points = np.vstack((points, q))
+        weights = np.append(weights, 0.0)
+        points, weights, active, used = _minor_cycles(points, weights, active)
+        solves += used
+        x = weights @ points
+        if not float(x @ x) < norm:
+            raise stalled("a major cycle did not shorten x")
+
     distribution = FairDistribution(
         instance,
-        atoms,
-        lambda_phases=[scale.from_unit(l) for l in lambdas],
-        oracle_calls=total_calls,
-        epsilon=config.epsilon,
+        [(r, p, v) for r, p, v in zip(active, weights, points)],
+        lambda_phases=_levels(x, bound),
+        oracle_calls=calls,
+        epsilon=eps,
     )
     if config.prune_threshold > 0:
         distribution = prune(distribution, config.prune_threshold)
+    logger.info(
+        "solve_maxmin n=%d oracle_calls=%d iterations=%d support=%d "
+        "bound=%.6g stop=%s",
+        instance.n, calls, solves, distribution.support_size, bound, stop,
+    )
     return distribution
 
 

@@ -1,8 +1,13 @@
 """Command line interface, driven through run() with real files."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import fairrank
 
 from fairrank import DuplicateId, ParseError
 from fairrank.cli import load_constraints, parse_instance, run
@@ -120,6 +125,23 @@ def test_sample_and_metrics_commands(eight_csv, tmp_path, capsys):
     )
 
 
+def test_metrics_rejects_an_atom_that_breaks_the_rule(eight_csv, tmp_path, capsys):
+    code, solved = run_json(capsys, [
+        "solve", "--input", eight_csv, "--rule", "floor-balanced",
+        "--epsilon", "0.05",
+    ])
+    assert code == 0
+    solved["support"][0]["ranking"].reverse()
+    dist_path = tmp_path / "dist.json"
+    dist_path.write_text(json.dumps(solved))
+    code, payload = run_json(capsys, [
+        "metrics", "--input", eight_csv, "--distribution", str(dist_path),
+        "--rule", "floor-balanced",
+    ])
+    assert code == 2
+    assert "support atom 0" in payload["error"]["message"]
+
+
 def test_decompose_command(eight_csv, capsys):
     code, payload = run_json(capsys, [
         "decompose", "--input", eight_csv, "--rule", "floor-balanced",
@@ -202,3 +224,13 @@ def test_exit_code_for_size_guard(tmp_path, capsys):
     code, payload = run_json(capsys, ["decompose", "--input", str(big)])
     assert code == 4
     assert payload["error"]["type"] == "InstanceTooLarge"
+
+
+def test_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(fairrank.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run(
+        [sys.executable, "-c",
+         "import fairrank, fairrank.cli, sys; assert 'scipy' not in sys.modules"],
+        env=env, check=True, timeout=60,
+    )

@@ -69,6 +69,30 @@ def test_oracle_matches_enumeration_small(seed):
     assert res.objective == pytest.approx(expected, rel=RELATIVE_TOL, abs=1e-12)
 
 
+def test_greedy_vertex_prefix_sums_are_best_totals():
+    """The solver's polytope fact: along its weight order, every prefix of
+    the greedy answer attains the best total that prefix can get in any
+    valid ranking, so the answer is the Edmonds greedy vertex."""
+    rng = np.random.default_rng(5)
+    for k in range(30):
+        inst = random_instance(rng, groups=int(rng.integers(1, 4)), max_n=6)
+        cons = random_upper_constraints(rng, inst)
+        model = (
+            ValueModel.position_diff(inst)
+            if k % 2 == 0
+            else ValueModel.top_k_selection(inst, k=max(1, inst.n // 2))
+        )
+        matrix = np.stack(
+            [model.values(r) for r in enumerate_valid_rankings(inst, cons)]
+        )
+        w = random_weights(rng, inst.n)
+        order = list(weight_order_key(inst, w))
+        values = best_response(inst, cons, model, w).values
+        for size in range(1, inst.n + 1):
+            top = order[:size]
+            assert values[top].sum() == matrix[:, top].sum(axis=1).max()
+
+
 def test_uniform_weights_tie_break_to_merit(eight, eight_model):
     res = best_response(
         eight, ConstraintSet.vacuous(eight), eight_model, np.ones(8)
