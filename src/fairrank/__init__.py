@@ -31,18 +31,11 @@ from .errors import (
     IterationCapExceeded,
     ParseError,
 )
-from .oracle import (
-    OracleCache,
-    OracleResult,
-    best_response,
-    has_monge_property,
-    weight_order_key,
-)
+from .oracle import OracleResult, best_response, weight_order_key
 from .baseline import baseline_min_value, deterministic_baseline
 from .analysis import (
     FairDecomposition,
     MetricsReport,
-    check_submodularity,
     dcg,
     distribution_dcg,
     enumerate_valid_rankings,
@@ -79,10 +72,8 @@ __all__ = [
     "to_upper_only",
     "is_feasible",
     "OracleResult",
-    "OracleCache",
     "weight_order_key",
     "best_response",
-    "has_monge_property",
     "deterministic_baseline",
     "baseline_min_value",
     "enumerate_valid_rankings",
@@ -90,7 +81,6 @@ __all__ = [
     "min_satisfaction_bound",
     "FairDecomposition",
     "fair_decomposition",
-    "check_submodularity",
     "gini",
     "spread",
     "dcg",

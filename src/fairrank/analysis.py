@@ -27,7 +27,6 @@ __all__ = [
     "min_satisfaction_bound",
     "FairDecomposition",
     "fair_decomposition",
-    "check_submodularity",
     "gini",
     "spread",
     "dcg",
@@ -253,41 +252,6 @@ def fair_decomposition(
         s_mask |= union
         s_total = _indicator_best_total(instance, uc, value_model, s_mask, cache)
     return FairDecomposition(tuple(blocks), targets)
-
-
-def check_submodularity(
-    instance: Instance,
-    constraints: ConstraintSet,
-    value_model: ValueModel,
-    trials: int = 200,
-    rng_seed: int = 0,
-) -> bool:
-    """Spot-check diminishing returns of the best-achievable-total set
-    function on random nested triples ``X subset Y``, ``Z`` disjoint from
-    ``Y``: the marginal gain of ``Z`` on ``X`` must cover its gain on
-    ``Y``."""
-    n = instance.n
-    if n > SUBSET_SCAN_GUARD:
-        raise InstanceTooLarge(
-            f"the subset scan is limited to n <= {SUBSET_SCAN_GUARD}, got n = {n}"
-        )
-    uc = to_upper_only(constraints, instance)
-    cache: dict[int, float] = {}
-    rng = np.random.default_rng(rng_seed)
-    full = (1 << n) - 1
-    for _ in range(trials):
-        y = int(rng.integers(0, full + 1))
-        x = int(rng.integers(0, full + 1)) & y
-        z = int(rng.integers(0, full + 1)) & (full ^ y)
-        gain_x = _indicator_best_total(
-            instance, uc, value_model, x | z, cache
-        ) - _indicator_best_total(instance, uc, value_model, x, cache)
-        gain_y = _indicator_best_total(
-            instance, uc, value_model, y | z, cache
-        ) - _indicator_best_total(instance, uc, value_model, y, cache)
-        if gain_x < gain_y - _FLOAT_TIE_TOL:
-            return False
-    return True
 
 
 def gini(values: Sequence[float]) -> float:

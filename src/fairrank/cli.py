@@ -4,7 +4,9 @@ Subcommands::
 
     solve       compute a maxmin-fair distribution over valid rankings
     baseline    compute the deterministic merit-greedy ranking
-    sample      draw one ranking from a stored distribution
+    sample      draw one ranking from a stored distribution, first checking
+                every stored ranking against the constraints when
+                ``--input`` is given
     metrics     re-evaluate a stored distribution against its instance and
                 constraints
     decompose   exact satisfaction-block decomposition (small instances)
@@ -267,6 +269,13 @@ def _cmd_baseline(args) -> dict:
 
 def _cmd_sample(args) -> dict:
     data = json.loads(_read(args.distribution))
+    if args.input:
+        instance = _instance_from_args(args)
+        value_model = _value_model(instance, args.value_fn, args.k)
+        constraints = _constraints_from_args(args, instance)
+        distribution_from_dict(instance, value_model, data, constraints)
+    elif args.constraints or args.rule:
+        raise ValueError("checking against constraints needs --input")
     support = data["support"]
     if not support:
         raise ValueError("stored distribution has empty support")
@@ -357,9 +366,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, instance=True, solver=False):
+    def add_common(p, instance=True, solver=False, input_required=True):
         if instance:
-            p.add_argument("--input", required=True, help="instance CSV path")
+            p.add_argument("--input", required=input_required,
+                           help="instance CSV path")
             p.add_argument("--constraints", help="constraint JSON path")
             p.add_argument("--rule", choices=["ceil-alpha", "floor-balanced"],
                            help="inline constraint rule")
@@ -389,9 +399,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("sample", help="draw one ranking from a stored distribution")
+    add_common(p, input_required=False)
     p.add_argument("--distribution", required=True, help="distribution JSON path")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("metrics", help="re-evaluate a stored distribution")

@@ -6,8 +6,7 @@ are nonincreasing, the weighted score matrix ``w[u] * f(i)`` has the
 exchange (Monge) property once individuals are sorted by descending weight:
 swapping any inverted pair never helps.  Filling positions top to bottom
 with the heaviest still-placeable individual is therefore optimal, and the
-result depends only on the *order* of the weights, which makes memoization
-by order key effective.
+result depends only on the *order* of the weights.
 
 Constraints must be upper-only (see :func:`fairrank.core.to_upper_only`)
 and in the normalized monotone form that :class:`fairrank.core.ConstraintSet`
@@ -26,10 +25,8 @@ from .errors import InfeasibleConstraints
 
 __all__ = [
     "OracleResult",
-    "OracleCache",
     "weight_order_key",
     "best_response",
-    "has_monge_property",
 ]
 
 
@@ -47,20 +44,6 @@ class OracleResult:
         return f"OracleResult(objective={self.objective:.6g})"
 
 
-class OracleCache:
-    """Memoizes greedy rankings by weight-order key within one solve."""
-
-    __slots__ = ("entries", "hits", "misses")
-
-    def __init__(self):
-        self.entries: dict[tuple[int, ...], Ranking] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def weight_order_key(instance: Instance, weights: Sequence[float]) -> tuple[int, ...]:
     """Individual indices sorted by descending weight.
 
@@ -70,10 +53,10 @@ def weight_order_key(instance: Instance, weights: Sequence[float]) -> tuple[int,
     w = np.asarray(weights, dtype=float)
     if w.shape != (instance.n,):
         raise ValueError("need one weight per individual")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
+    if not (np.isfinite(w).all() and w.min() >= 0):
         raise ValueError("weights must be finite and nonnegative")
     order = np.lexsort((instance.merit_position, -w))
-    return tuple(int(i) for i in order)
+    return tuple(order.tolist())
 
 
 def _greedy_fill(
@@ -116,7 +99,6 @@ def best_response(
     constraints: ConstraintSet,
     value_model: ValueModel,
     weights: Sequence[float],
-    cache: OracleCache | None = None,
 ) -> OracleResult:
     """Maximize the weighted total value over valid rankings.
 
@@ -127,43 +109,7 @@ def best_response(
         raise ValueError("the oracle needs upper-only constraints; "
                          "convert with to_upper_only first")
     order = weight_order_key(instance, weights)
-    ranking = None
-    if cache is not None:
-        ranking = cache.entries.get(order)
-        if ranking is None:
-            cache.misses += 1
-        else:
-            cache.hits += 1
-    if ranking is None:
-        ranking = _greedy_fill(instance, constraints, order)
-        if cache is not None:
-            cache.entries[order] = ranking
+    ranking = _greedy_fill(instance, constraints, order)
     values = value_model.values(ranking)
     objective = float(np.asarray(weights, dtype=float) @ values)
     return OracleResult(ranking, values, objective)
-
-
-def has_monge_property(
-    instance: Instance,
-    value_model: ValueModel,
-    weights: Sequence[float],
-    tolerance: float = 1e-9,
-) -> bool:
-    """Check the exchange inequality on the weighted score matrix.
-
-    With rows ordered by descending weight and columns by position, the
-    matrix ``W[u][i] = w[u] * (f(i) - g(u))`` must satisfy
-    ``W[u][i] + W[v][j] >= W[u][j] + W[v][i]`` for all ``u < v``, ``i < j``;
-    equivalently each row-difference vector is nonincreasing across
-    positions.
-    """
-    order = weight_order_key(instance, weights)
-    w = np.asarray(weights, dtype=float)[list(order)]
-    f = np.array(value_model.position_scores)
-    g = np.array(value_model.merit_scores)[list(order)]
-    scores = w[:, None] * (f[None, :] - g[:, None])
-    for a in range(len(order) - 1):
-        gaps = scores[a] - scores[a + 1 :]
-        if np.any(np.diff(gaps, axis=1) > tolerance):
-            return False
-    return True

@@ -12,7 +12,7 @@ oracle answer is the greedy (Edmonds) vertex of the submodular set function
 mixtures of valid rankings form that function's base polytope.  By
 Fujishige's theorem the lexicographically maxmin point of a base polytope
 is its minimum-norm point, and Wolfe's algorithm finds that point with a
-linear minimizer and small least-squares solves.  Minimizing ``x . q`` over
+linear minimizer and small bordered Gram solves.  Minimizing ``x . q`` over
 the polytope is the greedy oracle with weights ``max(x) - x``: the shift by
 ``max(x)`` adds the same amount to every vertex's objective and keeps the
 weights nonnegative.
@@ -41,7 +41,7 @@ import numpy as np
 
 from .core import ConstraintSet, Instance, Ranking, ValueModel, is_feasible
 from .errors import InfeasibleConstraints, IterationCapExceeded
-from .oracle import best_response, weight_order_key
+from .oracle import best_response
 
 logger = logging.getLogger(__name__)
 
@@ -190,15 +190,25 @@ def _affine_minimizer(points: np.ndarray) -> np.ndarray:
     """Affine weights (summing to one) of the minimum-norm point in the
     affine hull of the rows of ``points``.
 
-    Written as ``points[0] + sum_i beta_i (points[i] - points[0])``, the
-    point is a least-squares solution, which stays accurate when the rows
-    are nearly affinely dependent.
+    The weights solve the bordered Gram (KKT) system
+    ``[[P P^T, 1], [1^T, 0]] [alpha; mu] = [0; 1]``.  Forming ``P P^T``
+    squares the condition number of the active set, so one refinement step
+    follows whose residual is taken from ``P`` itself rather than from the
+    rounded Gram matrix (corrected semi-normal equations); that brings the
+    weights back to least-squares accuracy.  Raises
+    ``numpy.linalg.LinAlgError`` when the system is singular.
     """
-    if len(points) == 1:
-        return np.ones(1)
-    base = points[0]
-    beta = np.linalg.lstsq((points[1:] - base).T, -base, rcond=None)[0]
-    return np.concatenate(([1.0 - beta.sum()], beta))
+    k = len(points)
+    kkt = np.ones((k + 1, k + 1))
+    kkt[:k, :k] = points @ points.T
+    kkt[k, k] = 0.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = 1.0
+    sol = np.linalg.solve(kkt, rhs)
+    alpha = sol[:k]
+    rhs[:k] = -(points @ (alpha @ points)) - sol[k]
+    rhs[k] = 1.0 - alpha.sum()
+    return alpha + np.linalg.solve(kkt, rhs)[:k]
 
 
 def _minor_cycles(points: np.ndarray, weights: np.ndarray, active: list[Ranking]):
@@ -237,8 +247,9 @@ def _levels(x: np.ndarray, bound: float) -> list[float]:
     of such neighbours merge and report their mean."""
     xs = np.sort(x)
     dust = 1e-9 * max(1.0, float(np.abs(xs).max()))
-    breaks = np.flatnonzero(np.diff(xs) > 2.0 * bound + dust) + 1
-    return [float(run.mean()) for run in np.split(xs, breaks)]
+    starts = np.flatnonzero(np.diff(xs, prepend=-np.inf) > 2.0 * bound + dust)
+    sizes = np.diff(starts, append=len(xs))
+    return (np.add.reduceat(xs, starts) / sizes).tolist()
 
 
 def solve_maxmin(
@@ -257,7 +268,8 @@ def solve_maxmin(
     and configuration.  A solve that stalls raises
     :class:`IterationCapExceeded` with the reason and the last certified
     bound: the oracle-call cap is reached, the oracle returns a vertex
-    already in the active set, or a major cycle fails to shorten ``x``.
+    already in the active set, an affine step meets a singular active set,
+    or a major cycle fails to shorten ``x``.
 
     Each solve logs one INFO line with the keys ``oracle_calls``,
     ``iterations`` (affine solves of the minor cycles), ``support``,
@@ -270,7 +282,6 @@ def solve_maxmin(
     f = np.asarray(value_model.position_scores)
     g = np.asarray(value_model.merit_scores)
     lowest, highest = f[-1] - g, f[0] - g
-    found: dict[tuple[int, ...], tuple[Ranking, np.ndarray]] = {}
     calls = 0
     solves = 0
     bound = math.inf
@@ -286,12 +297,8 @@ def solve_maxmin(
         if calls >= config.max_iterations_cap:
             raise stalled(f"reached the cap of {config.max_iterations_cap} oracle calls")
         calls += 1
-        key = weight_order_key(instance, weights)
-        hit = found.get(key)
-        if hit is None:
-            res = best_response(instance, constraints, value_model, weights)
-            hit = found[key] = (res.ranking, res.values)
-        return hit
+        res = best_response(instance, constraints, value_model, weights)
+        return res.ranking, res.values
 
     ranking, q = vertex(np.zeros(instance.n))
     active = [ranking]
@@ -314,7 +321,10 @@ def solve_maxmin(
         active.append(ranking)
         points = np.vstack((points, q))
         weights = np.append(weights, 0.0)
-        points, weights, active, used = _minor_cycles(points, weights, active)
+        try:
+            points, weights, active, used = _minor_cycles(points, weights, active)
+        except np.linalg.LinAlgError:
+            raise stalled("singular active set in an affine step") from None
         solves += used
         x = weights @ points
         if not float(x @ x) < norm:

@@ -1,0 +1,68 @@
+"""Spot checks of the structure the solver rests on.
+
+These check the theory on small instances (the Monge exchange property of
+the weighted score matrix, and diminishing returns of the
+best-achievable-total set function); they are test helpers, not part of
+the package's API.
+"""
+
+import numpy as np
+
+from fairrank import weight_order_key
+from fairrank.analysis import (
+    SUBSET_SCAN_GUARD,
+    _FLOAT_TIE_TOL,
+    _indicator_best_total,
+)
+from fairrank.core import to_upper_only
+from fairrank.errors import InstanceTooLarge
+
+
+def has_monge_property(instance, value_model, weights, tolerance=1e-9):
+    """Check the exchange inequality on the weighted score matrix.
+
+    With rows ordered by descending weight and columns by position, the
+    matrix ``W[u][i] = w[u] * (f(i) - g(u))`` must satisfy
+    ``W[u][i] + W[v][j] >= W[u][j] + W[v][i]`` for all ``u < v``, ``i < j``;
+    equivalently each row-difference vector is nonincreasing across
+    positions.
+    """
+    order = weight_order_key(instance, weights)
+    w = np.asarray(weights, dtype=float)[list(order)]
+    f = np.array(value_model.position_scores)
+    g = np.array(value_model.merit_scores)[list(order)]
+    scores = w[:, None] * (f[None, :] - g[:, None])
+    for a in range(len(order) - 1):
+        gaps = scores[a] - scores[a + 1 :]
+        if np.any(np.diff(gaps, axis=1) > tolerance):
+            return False
+    return True
+
+
+def check_submodularity(instance, constraints, value_model, trials=200, rng_seed=0):
+    """Spot-check diminishing returns of the best-achievable-total set
+    function on random nested triples ``X subset Y``, ``Z`` disjoint from
+    ``Y``: the marginal gain of ``Z`` on ``X`` must cover its gain on
+    ``Y``."""
+    n = instance.n
+    if n > SUBSET_SCAN_GUARD:
+        raise InstanceTooLarge(
+            f"the subset scan is limited to n <= {SUBSET_SCAN_GUARD}, got n = {n}"
+        )
+    uc = to_upper_only(constraints, instance)
+    cache: dict[int, float] = {}
+    rng = np.random.default_rng(rng_seed)
+    full = (1 << n) - 1
+    for _ in range(trials):
+        y = int(rng.integers(0, full + 1))
+        x = int(rng.integers(0, full + 1)) & y
+        z = int(rng.integers(0, full + 1)) & (full ^ y)
+        gain_x = _indicator_best_total(
+            instance, uc, value_model, x | z, cache
+        ) - _indicator_best_total(instance, uc, value_model, x, cache)
+        gain_y = _indicator_best_total(
+            instance, uc, value_model, y | z, cache
+        ) - _indicator_best_total(instance, uc, value_model, y, cache)
+        if gain_x < gain_y - _FLOAT_TIE_TOL:
+            return False
+    return True

@@ -18,11 +18,9 @@ from fairrank import (
     baseline_min_value,
     best_response,
     ceil_alpha_constraints,
-    check_submodularity,
     deterministic_baseline,
     enumerate_valid_rankings,
     fair_decomposition,
-    has_monge_property,
     is_valid,
     lorenz_dominates,
     merit_ranking,
@@ -40,6 +38,7 @@ from conftest import (
     random_upper_constraints,
     random_weights,
 )
+from spot_checks import check_submodularity, has_monge_property
 
 EPSILON = 0.01
 BATCH_SIZE = 100

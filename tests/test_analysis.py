@@ -9,7 +9,6 @@ from fairrank import (
     Instance,
     InstanceTooLarge,
     ValueModel,
-    check_submodularity,
     dcg,
     distribution_dcg,
     enumerate_valid_rankings,
@@ -26,6 +25,7 @@ from fairrank import (
 )
 
 from conftest import random_instance, random_upper_constraints
+from spot_checks import check_submodularity
 
 MALES = ("u1", "u2", "u4", "u5")
 

@@ -142,6 +142,40 @@ def test_metrics_rejects_an_atom_that_breaks_the_rule(eight_csv, tmp_path, capsy
     assert "support atom 0" in payload["error"]["message"]
 
 
+def test_sample_rejects_an_atom_that_breaks_the_rule(eight_csv, tmp_path, capsys):
+    code, solved = run_json(capsys, [
+        "solve", "--input", eight_csv, "--rule", "floor-balanced",
+        "--epsilon", "0.05",
+    ])
+    assert code == 0
+    good_path = tmp_path / "good.json"
+    good_path.write_text(json.dumps(solved))
+    checked = ["--input", eight_csv, "--rule", "floor-balanced", "--seed", "11"]
+    code, draw = run_json(capsys, [
+        "sample", "--distribution", str(good_path), *checked,
+    ])
+    assert code == 0
+    code, unchecked = run_json(capsys, [
+        "sample", "--distribution", str(good_path), "--seed", "11",
+    ])
+    assert code == 0
+    assert draw == unchecked
+
+    solved["support"][0]["ranking"].reverse()
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(solved))
+    code, payload = run_json(capsys, [
+        "sample", "--distribution", str(bad_path), *checked,
+    ])
+    assert code == 2
+    assert "support atom 0" in payload["error"]["message"]
+    code, payload = run_json(capsys, [
+        "sample", "--distribution", str(bad_path), "--rule", "floor-balanced",
+    ])
+    assert code == 2
+    assert "--input" in payload["error"]["message"]
+
+
 def test_decompose_command(eight_csv, capsys):
     code, payload = run_json(capsys, [
         "decompose", "--input", eight_csv, "--rule", "floor-balanced",

@@ -13,16 +13,15 @@ import hypothesis.strategies as st
 from fairrank import (
     ConstraintSet,
     InfeasibleConstraints,
-    OracleCache,
     ValueModel,
     best_response,
     enumerate_valid_rankings,
-    has_monge_property,
     merit_ranking,
     weight_order_key,
 )
 
 from conftest import random_instance, random_upper_constraints, random_weights
+from spot_checks import has_monge_property
 
 RELATIVE_TOL = 1e-9
 
@@ -105,18 +104,6 @@ def test_order_key_ignores_scale(eight):
     w = rng.uniform(0.1, 1.0, 8)
     assert weight_order_key(eight, w) == weight_order_key(eight, 5.0 * w)
     assert weight_order_key(eight, w) != weight_order_key(eight, w[::-1].copy())
-
-
-def test_cache_reuses_equal_orders(eight, eight_upper, eight_model):
-    cache = OracleCache()
-    rng = np.random.default_rng(11)
-    w = rng.uniform(0.1, 1.0, 8)
-    first = best_response(eight, eight_upper, eight_model, w, cache=cache)
-    second = best_response(eight, eight_upper, eight_model, 2.0 * w, cache=cache)
-    assert cache.hits == 1
-    assert cache.misses == 1
-    assert len(cache) == 1
-    assert first.ranking == second.ranking
 
 
 def test_oracle_rejects_negative_weights(eight, eight_upper, eight_model):

@@ -5,6 +5,8 @@ import logging
 import numpy as np
 import pytest
 
+import fairrank.oracle
+import fairrank.solver
 from fairrank import (
     ConstraintSet,
     FairDistribution,
@@ -21,6 +23,7 @@ from fairrank import (
     solve_maxmin,
 )
 from fairrank.cli import load_constraints
+from fairrank.solver import _affine_minimizer
 
 from conftest import random_instance, random_upper_constraints
 
@@ -118,6 +121,73 @@ def test_iteration_cap_raises(eight, eight_upper, eight_model):
         solve_maxmin(
             eight, eight_upper, eight_model, SolverConfig(max_iterations_cap=1)
         )
+
+
+def _lstsq_affine_minimizer(points):
+    """Reference: the minimum-norm point of the affine hull as
+    ``points[0] + sum_i beta_i (points[i] - points[0])`` by least squares."""
+    base = points[0]
+    beta = np.linalg.lstsq((points[1:] - base).T, -base, rcond=None)[0]
+    return np.concatenate(([1.0 - beta.sum()], beta))
+
+
+def test_affine_minimizer_matches_least_squares():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n = int(rng.integers(2, 25))
+        k = int(rng.integers(2, n + 1))
+        points = rng.normal(size=(k, n)) * rng.uniform(0.1, 40.0)
+        alpha = _affine_minimizer(points)
+        assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(alpha - _lstsq_affine_minimizer(points)).max() <= 1e-9
+    assert _affine_minimizer(points[:1]).tolist() == [1.0]
+    # A row within 1e-3 of the midpoint of two others: the weights are
+    # ill-determined along the near dependency, the point is not.
+    points = rng.normal(size=(5, 12))
+    near = 0.5 * (points[0] + points[1]) + 1e-3 * rng.normal(size=12)
+    points = np.vstack((points, near))
+    alpha = _affine_minimizer(points)
+    assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
+    reference = _lstsq_affine_minimizer(points) @ points
+    assert np.abs(alpha @ points - reference).max() <= 1e-9
+
+
+def _count_order_keys(monkeypatch):
+    seen = []
+    key = fairrank.oracle.weight_order_key
+
+    def counted(*args, **kwargs):
+        seen.append(1)
+        return key(*args, **kwargs)
+
+    monkeypatch.setattr(fairrank.oracle, "weight_order_key", counted)
+    # Also count a sort made by the solver itself under that name.
+    monkeypatch.setattr(fairrank.solver, "weight_order_key", counted, raising=False)
+    return seen
+
+
+def test_one_weight_sort_per_oracle_call(eight, eight_upper, eight_model, monkeypatch):
+    rng = np.random.default_rng(21)
+    inst = random_instance(rng, n=9, groups=3)
+    cons = random_upper_constraints(rng, inst)
+    cases = [
+        (eight, eight_upper, eight_model),
+        (inst, cons, ValueModel.log_ratio(inst)),
+    ]
+    for instance, constraints, model in cases:
+        seen = _count_order_keys(monkeypatch)
+        dist = solve_maxmin(instance, constraints, model)
+        assert dist.oracle_calls > 1
+        assert len(seen) == dist.oracle_calls
+
+
+def test_singular_active_set_raises(eight, eight_upper, eight_model, monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(IterationCapExceeded, match="singular active set"):
+        solve_maxmin(eight, eight_upper, eight_model)
 
 
 def test_solve_logs_one_info_line(eight, eight_upper, eight_model, caplog):
