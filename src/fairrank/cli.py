@@ -271,10 +271,15 @@ def _cmd_sample(args) -> dict:
     data = json.loads(_read(args.distribution))
     if args.input:
         instance = _instance_from_args(args)
-        value_model = _value_model(instance, args.value_fn, args.k)
         constraints = _constraints_from_args(args, instance)
-        distribution_from_dict(instance, value_model, data, constraints)
-    elif args.constraints or args.rule:
+        # Only the atoms' validity matters here; any value model will do.
+        distribution_from_dict(
+            instance, ValueModel.position_diff(instance), data, constraints
+        )
+    elif any(
+        getattr(args, name) is not None
+        for name in ("constraints", "rule", "alpha", "protected", "start_k")
+    ):
         raise ValueError("checking against constraints needs --input")
     support = data["support"]
     if not support:
@@ -366,19 +371,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, instance=True, solver=False, input_required=True):
-        if instance:
-            p.add_argument("--input", required=input_required,
-                           help="instance CSV path")
-            p.add_argument("--constraints", help="constraint JSON path")
-            p.add_argument("--rule", choices=["ceil-alpha", "floor-balanced"],
-                           help="inline constraint rule")
-            p.add_argument("--alpha", type=float, default=None,
-                           help="protected share for the ceil-alpha rule")
-            p.add_argument("--protected", default=None,
-                           help="protected group label (default: first group)")
-            p.add_argument("--start-k", type=int, default=None, dest="start_k",
-                           help="first prefix length the rule applies to")
+    def add_instance(p, input_required=True):
+        p.add_argument("--input", required=input_required,
+                       help="instance CSV path")
+        p.add_argument("--constraints", help="constraint JSON path")
+        p.add_argument("--rule", choices=["ceil-alpha", "floor-balanced"],
+                       help="inline constraint rule")
+        p.add_argument("--alpha", type=float, default=None,
+                       help="protected share for the ceil-alpha rule")
+        p.add_argument("--protected", default=None,
+                       help="protected group label (default: first group)")
+        p.add_argument("--start-k", type=int, default=None, dest="start_k",
+                       help="first prefix length the rule applies to")
+
+    def add_common(p, solver=False):
+        add_instance(p)
         p.add_argument("--value-fn", default="position-diff", dest="value_fn",
                        choices=["position-diff", "log-ratio", "top-k"])
         p.add_argument("--k", type=int, default=None,
@@ -399,9 +406,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("sample", help="draw one ranking from a stored distribution")
-    add_common(p, input_required=False)
+    add_instance(p, input_required=False)
     p.add_argument("--distribution", required=True, help="distribution JSON path")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("metrics", help="re-evaluate a stored distribution")

@@ -169,11 +169,16 @@ def test_sample_rejects_an_atom_that_breaks_the_rule(eight_csv, tmp_path, capsys
     ])
     assert code == 2
     assert "support atom 0" in payload["error"]["message"]
-    code, payload = run_json(capsys, [
-        "sample", "--distribution", str(bad_path), "--rule", "floor-balanced",
-    ])
-    assert code == 2
-    assert "--input" in payload["error"]["message"]
+    for flags in (["--rule", "floor-balanced"], ["--alpha", "0.3", "--protected", "F"]):
+        code, payload = run_json(capsys, [
+            "sample", "--distribution", str(bad_path), *flags,
+        ])
+        assert code == 2
+        assert "--input" in payload["error"]["message"]
+    # The drawn ranking does not depend on a value model, so sample takes none.
+    with pytest.raises(SystemExit):
+        run(["sample", "--distribution", str(good_path), *checked,
+             "--value-fn", "top-k"])
 
 
 def test_decompose_command(eight_csv, capsys):

@@ -140,7 +140,7 @@ def test_affine_minimizer_matches_least_squares():
         alpha = _affine_minimizer(points)
         assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.abs(alpha - _lstsq_affine_minimizer(points)).max() <= 1e-9
-    assert _affine_minimizer(points[:1]).tolist() == [1.0]
+    assert _affine_minimizer(points[:1]) == pytest.approx([1.0], abs=1e-12)
     # A row within 1e-3 of the midpoint of two others: the weights are
     # ill-determined along the near dependency, the point is not.
     points = rng.normal(size=(5, 12))
