@@ -47,7 +47,7 @@ from .errors import (
     IterationCapExceeded,
     ParseError,
 )
-from .solver import FairDistribution, SolverConfig, solve_maxmin
+from .solver import FairDistribution, SolverConfig, _draw_index, solve_maxmin
 
 __all__ = [
     "parse_instance",
@@ -242,8 +242,6 @@ def _solver_config(args) -> SolverConfig:
 def _cmd_solve(args) -> dict:
     instance = _instance_from_args(args)
     constraints = to_upper_only(_constraints_from_args(args, instance), instance)
-    if not is_feasible(instance, constraints):
-        raise InfeasibleConstraints("no valid ranking satisfies the bounds")
     value_model = _value_model(instance, args.value_fn, args.k)
     distribution = solve_maxmin(instance, constraints, value_model, _solver_config(args))
     payload = distribution_to_dict(distribution)
@@ -284,11 +282,7 @@ def _cmd_sample(args) -> dict:
     support = data["support"]
     if not support:
         raise ValueError("stored distribution has empty support")
-    import numpy as np
-
-    probs = np.array([float(e["probability"]) for e in support])
-    rng = np.random.default_rng(args.seed)
-    idx = int(rng.choice(len(probs), p=probs / probs.sum()))
+    idx = _draw_index([float(e["probability"]) for e in support], args.seed)
     return {"ranking": list(support[idx]["ranking"]), "seed": args.seed}
 
 

@@ -172,6 +172,15 @@ class Ranking:
         self.position = tuple(position)
 
     @classmethod
+    def _trusted(cls, order: tuple[int, ...], position: tuple[int, ...]) -> "Ranking":
+        """A ranking from a permutation and its 1-based inverse that the
+        caller has just built, skipping the checks of ``__init__``."""
+        ranking = object.__new__(cls)
+        ranking.order = order
+        ranking.position = position
+        return ranking
+
+    @classmethod
     def from_ids(cls, instance: Instance, ids: Sequence[str]) -> "Ranking":
         return cls(instance.index_of(u) for u in ids)
 
@@ -308,25 +317,23 @@ def _normalize_upper(rows: np.ndarray, n: int) -> np.ndarray:
 
     A prefix count never decreases and grows by at most one per position, so
     ``u[i] ≤ min(u[i+1], u[i-1] + 1)`` is implied.  Applying the closure
-    leaves the set of satisfying rankings unchanged.
+    leaves the set of satisfying rankings unchanged.  The first rule is a
+    running minimum from the right; the second is a running minimum of
+    ``u[i] - i`` from the left.
     """
     rows = _clamped(rows, n)
-    for i in range(n - 2, -1, -1):
-        rows[:, i] = np.minimum(rows[:, i], rows[:, i + 1])
-    for i in range(1, n):
-        rows[:, i] = np.minimum(rows[:, i], rows[:, i - 1] + 1)
-    return rows
+    rows = np.minimum.accumulate(rows[:, ::-1], axis=1)[:, ::-1]
+    index = np.arange(n)
+    return np.minimum.accumulate(rows - index, axis=1) + index
 
 
 def _normalize_lower(rows: np.ndarray, n: int) -> np.ndarray:
     """Tighten raw lower bounds to their monotone closure (mirror image of
-    the upper-bound repair)."""
+    the upper-bound repair, with running maxima)."""
     rows = _clamped(rows, n)
-    for i in range(1, n):
-        rows[:, i] = np.maximum(rows[:, i], rows[:, i - 1])
-    for i in range(n - 2, -1, -1):
-        rows[:, i] = np.maximum(rows[:, i], rows[:, i + 1] - 1)
-    return rows
+    rows = np.maximum.accumulate(rows, axis=1)
+    index = np.arange(n)
+    return np.maximum.accumulate((rows - index)[:, ::-1], axis=1)[:, ::-1] + index
 
 
 class ConstraintSet:
@@ -338,9 +345,16 @@ class ConstraintSet:
     which preserves the satisfying set exactly and is what the greedy oracle
     relies on.  Construction fails with :class:`InfeasibleConstraints` when
     some repaired floor exceeds the matching cap.
+
+    ``release[k][j]`` is the first 0-based position whose prefix cap admits
+    a ``(j+1)``-th member of group ``k``, or ``n`` when no prefix does.  The
+    repaired caps are nondecreasing, so once a member is admitted it stays
+    admitted; the greedy oracle fills from this table.
     """
 
-    __slots__ = ("upper", "lower", "n", "n_groups", "_urows", "_lrows")
+    __slots__ = (
+        "upper", "lower", "release", "upper_only", "n", "n_groups", "_urows", "_lrows"
+    )
 
     def __init__(
         self,
@@ -372,8 +386,13 @@ class ConstraintSet:
         self.n_groups = t
         self._urows = urows
         self._lrows = lrows
+        self.upper_only = not lrows.any()
         self.upper = tuple(tuple(row) for row in urows.tolist())
         self.lower = tuple(tuple(row) for row in lrows.tolist())
+        counts = np.arange(1, n + 1)
+        self.release = tuple(
+            tuple(np.searchsorted(row, counts).tolist()) for row in urows
+        )
 
     @classmethod
     def vacuous(cls, instance: Instance) -> "ConstraintSet":
@@ -384,10 +403,6 @@ class ConstraintSet:
             for size in instance.group_sizes
         ]
         return cls(upper)
-
-    @property
-    def upper_only(self) -> bool:
-        return not self._lrows.any()
 
     def upper_array(self) -> np.ndarray:
         return self._urows

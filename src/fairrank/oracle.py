@@ -11,7 +11,12 @@ result depends only on the *order* of the weights.
 Constraints must be upper-only (see :func:`fairrank.core.to_upper_only`)
 and in the normalized monotone form that :class:`fairrank.core.ConstraintSet`
 guarantees, so a placement that respects the cap at its own prefix can never
-violate a later prefix.
+violate a later prefix.  The constraint set turns its caps into release
+positions once: the first position where each group may take its next
+member.  The fill then walks the weight order once and puts each individual
+at the first free position at or after that release, found through a
+path-compressed next-free-position list, in near-linear time instead of a
+scan over every group at every position.
 """
 
 from __future__ import annotations
@@ -62,36 +67,42 @@ def weight_order_key(instance: Instance, weights: Sequence[float]) -> tuple[int,
 def _greedy_fill(
     instance: Instance, constraints: ConstraintSet, order: Sequence[int]
 ) -> Ranking:
-    """Fill positions 1..n, each time taking the earliest individual in
-    ``order`` whose group cap at that prefix still has room."""
+    """The ranking that fills positions 1..n, each time with the earliest
+    individual in ``order`` whose group cap at that prefix still has room.
+
+    Built as list scheduling: walk ``order`` once and put each individual at
+    the first free position at or after the release of their group's next
+    slot.  The top-to-bottom fill gives the first individual in ``order``
+    that same position, because no one it would yield to is left; the rest
+    then fill the remaining positions by the same rule.  Releases only move
+    later within a group, so a group's members keep their order.  Raises
+    :class:`InfeasibleConstraints` naming the first position left empty.
+    """
     n = instance.n
-    t = instance.n_groups
-    upper = constraints.upper
-    group_of = instance.group_of
-    queues: list[list[tuple[int, int]]] = [[] for _ in range(t)]
-    for rank, u in enumerate(order):
-        queues[group_of[u]].append((rank, u))
-    heads = [0] * t
-    counts = [0] * t
-    out = []
-    for i in range(n):
-        best_rank = n
-        best_g = -1
-        for g in range(t):
-            if heads[g] < len(queues[g]) and counts[g] < upper[g][i]:
-                rank = queues[g][heads[g]][0]
-                if rank < best_rank:
-                    best_rank = rank
-                    best_g = g
-        if best_g < 0:
-            raise InfeasibleConstraints(
-                f"no group may take position {i + 1} without exceeding its cap"
-            )
-        u = queues[best_g][heads[best_g]][1]
-        heads[best_g] += 1
-        counts[best_g] += 1
-        out.append(u)
-    return Ranking(out)
+    release = constraints.release
+    group_of = instance.group_of.tolist()
+    taken = [0] * instance.n_groups
+    # nxt[i] leads to the first free position >= i; nxt[n] = n is the end.
+    nxt = list(range(n + 1))
+    out = [-1] * n
+    position = [0] * n
+    for u in order:
+        g = group_of[u]
+        start = slot = release[g][taken[g]]
+        taken[g] += 1
+        while nxt[slot] != slot:
+            slot = nxt[slot]
+        while nxt[start] != slot:
+            nxt[start], start = slot, nxt[start]
+        if slot < n:
+            out[slot] = u
+            position[u] = slot + 1
+            nxt[slot] = slot + 1
+    if -1 in out:
+        raise InfeasibleConstraints(
+            f"no group may take position {out.index(-1) + 1} without exceeding its cap"
+        )
+    return Ranking._trusted(tuple(out), tuple(position))
 
 
 def best_response(

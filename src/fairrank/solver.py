@@ -245,11 +245,22 @@ def _levels(x: np.ndarray, bound: float) -> list[float]:
     """Distinct satisfaction levels of ``x``: sorted entries no further
     apart than two error bounds may share a level of the optimum, so runs
     of such neighbours merge and report their mean."""
-    xs = np.sort(x)
-    dust = 1e-9 * max(1.0, float(np.abs(xs).max()))
-    starts = np.flatnonzero(np.diff(xs, prepend=-np.inf) > 2.0 * bound + dust)
-    sizes = np.diff(starts, append=len(xs))
-    return (np.add.reduceat(xs, starts) / sizes).tolist()
+    xs = sorted(x.tolist())
+    merge = 2.0 * bound + 1e-9 * max(1.0, -xs[0], xs[-1])
+    levels = []
+    total = 0.0
+    count = 0
+    prev = xs[0]
+    for v in xs:
+        if v - prev > merge:
+            levels.append(total / count)
+            total = 0.0
+            count = 0
+        total += v
+        count += 1
+        prev = v
+    levels.append(total / count)
+    return levels
 
 
 def solve_maxmin(
@@ -302,6 +313,7 @@ def solve_maxmin(
 
     ranking, q = vertex(np.zeros(instance.n))
     active = [ranking]
+    members = {ranking.order}
     points = q[None, :]
     weights = np.ones(1)
     x = q
@@ -315,16 +327,20 @@ def solve_maxmin(
         if bound <= eps:
             stop = "gap"
             break
-        if ranking in active:
+        if ranking.order in members:
             raise stalled("the oracle returned an active vertex")
         norm = float(x @ x)
         active.append(ranking)
-        points = np.vstack((points, q))
+        members.add(ranking.order)
+        points = np.concatenate((points, q[None, :]))
         weights = np.append(weights, 0.0)
         try:
-            points, weights, active, used = _minor_cycles(points, weights, active)
+            points, weights, kept, used = _minor_cycles(points, weights, active)
         except np.linalg.LinAlgError:
             raise stalled("singular active set in an affine step") from None
+        if len(kept) < len(active):
+            members = {r.order for r in kept}
+        active = kept
         solves += used
         x = weights @ points
         if not float(x @ x) < norm:
@@ -350,6 +366,8 @@ def solve_maxmin(
 def prune(distribution: FairDistribution, threshold: float) -> FairDistribution:
     """Drop support atoms with probability below ``threshold`` and
     renormalize; expected satisfactions are recomputed from the survivors.
+    When no atom falls below ``threshold`` the distribution is returned
+    as it is.
 
     ``threshold`` must leave at least one atom standing.
     """
@@ -358,6 +376,8 @@ def prune(distribution: FairDistribution, threshold: float) -> FairDistribution:
     kept = [a for a in distribution.atoms if a.probability >= threshold]
     if not kept:
         raise ValueError("threshold would drop the entire support")
+    if len(kept) == len(distribution.atoms):
+        return distribution
     total = sum(a.probability for a in kept)
     return FairDistribution(
         distribution.instance,
@@ -374,11 +394,17 @@ def sample(distribution: FairDistribution, rng_seed) -> Ranking:
     ``rng_seed`` may be an integer seed or a ``numpy.random.Generator``;
     equal seeds give equal draws.
     """
+    probabilities = [a.probability for a in distribution.atoms]
+    return distribution.atoms[_draw_index(probabilities, rng_seed)].ranking
+
+
+def _draw_index(probabilities: Sequence[float], rng_seed) -> int:
+    """Index drawn in proportion to ``probabilities``, with ``rng_seed`` an
+    integer seed or a ``numpy.random.Generator``."""
     rng = (
         rng_seed
         if isinstance(rng_seed, np.random.Generator)
         else np.random.default_rng(rng_seed)
     )
-    probs = np.array([a.probability for a in distribution.atoms])
-    idx = int(rng.choice(len(probs), p=probs / probs.sum()))
-    return distribution.atoms[idx].ranking
+    probs = np.array(probabilities, dtype=float)
+    return int(rng.choice(len(probs), p=probs / probs.sum()))

@@ -1,14 +1,16 @@
-"""Spot checks of the structure the solver rests on.
+"""Spot checks of the structure the solver rests on, and reference
+versions of code the package replaced with faster equivalents.
 
 These check the theory on small instances (the Monge exchange property of
 the weighted score matrix, and diminishing returns of the
-best-achievable-total set function); they are test helpers, not part of
-the package's API.
+best-achievable-total set function), and keep the plain loops that the
+vectorized bound repair and the release-position greedy fill must
+reproduce; they are test helpers, not part of the package's API.
 """
 
 import numpy as np
 
-from fairrank import weight_order_key
+from fairrank import InfeasibleConstraints, Ranking, weight_order_key
 from fairrank.analysis import (
     SUBSET_SCAN_GUARD,
     _FLOAT_TIE_TOL,
@@ -66,3 +68,52 @@ def check_submodularity(instance, constraints, value_model, trials=200, rng_seed
         if gain_x < gain_y - _FLOAT_TIE_TOL:
             return False
     return True
+
+
+def normalize_upper_loops(rows, n):
+    """Monotone closure of upper bounds, one prefix at a time."""
+    rows = np.clip(rows, 0, np.arange(1, n + 1))
+    for i in range(n - 2, -1, -1):
+        rows[:, i] = np.minimum(rows[:, i], rows[:, i + 1])
+    for i in range(1, n):
+        rows[:, i] = np.minimum(rows[:, i], rows[:, i - 1] + 1)
+    return rows
+
+
+def normalize_lower_loops(rows, n):
+    """Monotone closure of lower bounds, one prefix at a time."""
+    rows = np.clip(rows, 0, np.arange(1, n + 1))
+    for i in range(1, n):
+        rows[:, i] = np.maximum(rows[:, i], rows[:, i - 1])
+    for i in range(n - 2, -1, -1):
+        rows[:, i] = np.maximum(rows[:, i], rows[:, i + 1] - 1)
+    return rows
+
+
+def greedy_fill_scan(instance, constraints, order):
+    """Fill positions 1..n, each time scanning every group for the earliest
+    individual in ``order`` whose group cap at that prefix still has room."""
+    n = instance.n
+    t = instance.n_groups
+    upper = constraints.upper
+    queues = [[] for _ in range(t)]
+    for rank, u in enumerate(order):
+        queues[instance.group_of[u]].append((rank, u))
+    heads = [0] * t
+    out = []
+    for i in range(n):
+        best_rank = n
+        best_g = -1
+        for g in range(t):
+            if heads[g] < len(queues[g]) and heads[g] < upper[g][i]:
+                rank = queues[g][heads[g]][0]
+                if rank < best_rank:
+                    best_rank = rank
+                    best_g = g
+        if best_g < 0:
+            raise InfeasibleConstraints(
+                f"no group may take position {i + 1} without exceeding its cap"
+            )
+        out.append(queues[best_g][heads[best_g]][1])
+        heads[best_g] += 1
+    return Ranking(out)

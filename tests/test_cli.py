@@ -10,7 +10,12 @@ import pytest
 import fairrank
 
 from fairrank import DuplicateId, ParseError
-from fairrank.cli import load_constraints, parse_instance, run
+from fairrank.cli import (
+    distribution_from_dict,
+    load_constraints,
+    parse_instance,
+    run,
+)
 
 from conftest import EIGHT_ROWS
 
@@ -254,6 +259,41 @@ def test_exit_code_for_infeasible_bounds(eight_csv, tmp_path, capsys):
         "solve", "--input", eight_csv, "--constraints", str(spec),
     ])
     assert code == 3
+
+
+def test_infeasible_caps_exit_3_with_the_solver_message(eight_csv, tmp_path, capsys):
+    spec = tmp_path / "tight.json"
+    spec.write_text(json.dumps({"upper": {"M": [1] * 8, "F": [2] * 8}}))
+    code, payload = run_json(capsys, [
+        "solve", "--input", eight_csv, "--constraints", str(spec),
+    ])
+    assert code == 3
+    assert payload["error"] == {
+        "type": "InfeasibleConstraints",
+        "message": "no valid ranking satisfies the bounds",
+    }
+
+
+def test_sample_command_draws_like_the_library(eight_csv, tmp_path, capsys):
+    code, solved = run_json(capsys, [
+        "solve", "--input", eight_csv, "--rule", "floor-balanced",
+        "--epsilon", "0.05",
+    ])
+    assert code == 0
+    dist_path = tmp_path / "dist.json"
+    dist_path.write_text(json.dumps(solved))
+    inst = parse_instance(EIGHT_CSV)
+    stored = distribution_from_dict(
+        inst, fairrank.ValueModel.position_diff(inst), solved
+    )
+    drawn = set()
+    for seed in range(8):
+        assert run(["sample", "--distribution", str(dist_path), "--seed", str(seed)]) == 0
+        ranking = fairrank.sample(stored, seed).ids(inst)
+        want = json.dumps({"ranking": list(ranking), "seed": seed}, indent=2) + "\n"
+        assert capsys.readouterr().out == want
+        drawn.add(ranking)
+    assert len(drawn) > 1
 
 
 def test_exit_code_for_size_guard(tmp_path, capsys):

@@ -27,7 +27,10 @@ from fairrank import (
     to_upper_only,
 )
 
+from fairrank.core import _normalize_lower, _normalize_upper
+
 from conftest import EIGHT_ROWS, random_instance, random_upper_constraints
+from spot_checks import normalize_lower_loops, normalize_upper_loops
 
 
 def test_instance_merit_order(eight):
@@ -254,6 +257,30 @@ def test_random_upper_constraints_stay_feasible(seed):
     assert any(
         is_valid(Ranking(perm), inst, cons) for perm in permutations(range(inst.n))
     )
+
+
+def test_vectorized_repair_matches_the_loops():
+    """The running-extremum bound repair equals the prefix-by-prefix loops,
+    with entries below zero and above the prefix length included."""
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        n = int(rng.integers(1, 31))
+        t = int(rng.integers(1, 4))
+        rows = rng.integers(-3, n + 4, size=(t, n))
+        assert np.array_equal(_normalize_upper(rows, n), normalize_upper_loops(rows, n))
+        assert np.array_equal(_normalize_lower(rows, n), normalize_lower_loops(rows, n))
+
+
+def test_release_is_the_first_admitting_position():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        n = int(rng.integers(1, 21))
+        cons = ConstraintSet(rng.integers(-1, n + 2, size=(int(rng.integers(1, 4)), n)))
+        for row, release in zip(cons.upper, cons.release):
+            want = [
+                next((i for i in range(n) if row[i] >= j + 1), n) for j in range(n)
+            ]
+            assert list(release) == want
 
 
 def test_eight_rows_fixture_matches_module_doc(eight):

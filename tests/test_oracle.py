@@ -20,8 +20,10 @@ from fairrank import (
     weight_order_key,
 )
 
+from fairrank.oracle import _greedy_fill
+
 from conftest import random_instance, random_upper_constraints, random_weights
-from spot_checks import has_monge_property
+from spot_checks import greedy_fill_scan, has_monge_property
 
 RELATIVE_TOL = 1e-9
 
@@ -128,3 +130,36 @@ def test_monge_property_on_running_weights(eight, eight_upper, eight_model):
     for _ in range(100):
         w = random_weights(rng, eight.n)
         assert has_monge_property(eight, eight_model, w)
+
+
+def test_release_fill_matches_the_position_scan():
+    """The release-position fill gives the per-position scan's ranking, and
+    raises the same error naming the same empty position when the caps
+    cannot be met."""
+    rng = np.random.default_rng(17)
+    raised = 0
+    for k in range(600):
+        n = int(rng.integers(1, 41))
+        inst = random_instance(rng, n=n, groups=int(rng.integers(1, 4)))
+        vacuous = ConstraintSet.vacuous(inst).upper_array()
+        cuts = rng.integers(0, 3, size=vacuous.shape) * (rng.random(vacuous.shape) < 0.1)
+        cons = ConstraintSet(vacuous - cuts)
+        weights = [
+            rng.uniform(0.0, 1.0, n),
+            rng.integers(0, 3, n).astype(float),
+            np.zeros(n),
+        ][k % 3]
+        order = weight_order_key(inst, weights)
+        try:
+            want = greedy_fill_scan(inst, cons, order)
+        except InfeasibleConstraints as exc:
+            raised += 1
+            with pytest.raises(InfeasibleConstraints) as got:
+                _greedy_fill(inst, cons, order)
+            assert str(got.value) == str(exc)
+            continue
+        got = _greedy_fill(inst, cons, order)
+        assert got.order == want.order
+        assert sorted(got.order) == list(range(n))
+        assert all(got.position[u] == p for p, u in enumerate(got.order, start=1))
+    assert 100 < raised < 500
