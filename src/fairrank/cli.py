@@ -15,9 +15,10 @@ Subcommands::
 Instances are CSV files with header ``id,group,score``; groups are indexed
 by first appearance.  Constraints come either from a JSON file (explicit
 bound tables or a named rule) or inline via ``--rule``/``--alpha``.  All
-results are emitted as JSON, to stdout or ``--output``.  Exit codes: 0
-success, 2 malformed input, 3 infeasible constraints, 4 size or iteration
-guard exceeded.
+results are emitted as JSON, to stdout or ``--output``; a failure prints
+``{"error": ...}`` as JSON to stderr instead.  Exit codes: 0 success, 2
+malformed input, 3 infeasible constraints, 4 size or iteration guard
+exceeded.
 """
 
 from __future__ import annotations
@@ -440,8 +441,8 @@ _EXIT_GUARD = 4
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, execute the chosen command, print JSON.
 
-    Failures print ``{"error": ...}`` and return the class-specific exit
-    code instead of raising.
+    Failures print ``{"error": ...}`` to stderr and return the
+    class-specific exit code instead of raising.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -466,7 +467,7 @@ def _emit_error(exc: Exception) -> None:
     row = getattr(exc, "row", None)
     if row is not None:
         info["row"] = row
-    print(json.dumps({"error": info}, indent=2))
+    print(json.dumps({"error": info}, indent=2), file=sys.stderr)
 
 
 def main() -> None:

@@ -12,10 +12,10 @@ oracle answer is the greedy (Edmonds) vertex of the submodular set function
 mixtures of valid rankings form that function's base polytope.  By
 Fujishige's theorem the lexicographically maxmin point of a base polytope
 is its minimum-norm point, and Wolfe's algorithm finds that point with a
-linear minimizer and small bordered Gram solves.  Minimizing ``x . q`` over
-the polytope is the greedy oracle with weights ``max(x) - x``: the shift by
-``max(x)`` adds the same amount to every vertex's objective and keeps the
-weights nonnegative.
+linear minimizer and affine steps over a small active set.  Minimizing
+``x . q`` over the polytope is the greedy oracle with weights
+``max(x) - x``: the shift by ``max(x)`` adds the same amount to every
+vertex's objective and keeps the weights nonnegative.
 
 Each major cycle asks the oracle for the vertex ``q`` minimizing ``x . q``.
 The minimum-norm point ``x*`` satisfies ``x* . (x - x*) >= 0``, hence
@@ -28,6 +28,13 @@ as soon as either bound is at most ``epsilon``.  Between oracle calls, minor
 cycles move ``x`` to the affine minimizer of the active vertices, dropping
 vertices whose weight reaches zero; the active set stays affinely
 independent, so the support never exceeds ``n``.
+
+The affine steps read the inverse of ``P P^T + 1 1^T`` for the active rows
+``P``, kept up to date as Wolfe kept his factor: bordered in O(k^2) when a
+vertex joins and downdated in O(k^2) when one leaves, so a minor cycle
+neither rebuilds the Gram matrix nor solves a linear system.  A vertex that
+is affinely dependent on the active set to float resolution stops the
+solve.
 """
 
 from __future__ import annotations
@@ -49,6 +56,11 @@ logger = logging.getLogger(__name__)
 # less than float dust, and keeping it would make the active set nearly
 # affinely dependent.
 _WEIGHT_DUST = 1e-12
+
+# Support probabilities must sum to one within this.  Stored distributions
+# round each probability to 12 significant digits, at most 5e-13 off, so a
+# stored support of up to 2,000 atoms still loads.
+_MASS_TOLERANCE = 1e-9
 
 __all__ = [
     "SolverConfig",
@@ -132,20 +144,23 @@ class FairDistribution:
         if not merged:
             raise ValueError("a distribution needs at least one support atom")
         total = sum(entry[1] for entry in merged.values())
-        if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-6):
+        if not math.isclose(total, 1.0, rel_tol=0, abs_tol=_MASS_TOLERANCE):
             raise ValueError(f"support probabilities sum to {total}, expected 1")
-        atoms = []
-        for ranking, prob, values in sorted(
-            merged.values(), key=lambda e: (-e[1], e[0].order)
-        ):
-            values = np.array(values, dtype=float)
-            values.setflags(write=False)
-            atoms.append(RankedAtom(ranking, prob / total, values))
+        entries = sorted(merged.values(), key=lambda e: (-e[1], e[0].order))
+        probabilities = np.array([e[1] for e in entries]) / total
+        rows = np.array([e[2] for e in entries], dtype=float)
+        if rows.shape != (len(entries), instance.n):
+            raise ValueError(
+                f"support values have shape {rows.shape}, expected "
+                f"{(len(entries), instance.n)}"
+            )
+        rows.setflags(write=False)
         self.instance = instance
-        self.atoms = tuple(atoms)
-        expected = np.zeros(instance.n)
-        for atom in self.atoms:
-            expected += atom.probability * atom.values
+        self.atoms = tuple(
+            RankedAtom(e[0], p, v)
+            for e, p, v in zip(entries, probabilities.tolist(), rows)
+        )
+        expected = probabilities @ rows
         expected.setflags(write=False)
         self.expected = expected
         self.lambda_phases = tuple(float(x) for x in lambda_phases)
@@ -186,46 +201,83 @@ def _validated_inputs(
         raise InfeasibleConstraints("no valid ranking satisfies the bounds")
 
 
-def _affine_minimizer(points: np.ndarray) -> np.ndarray:
-    """Affine weights (summing to one) of the minimum-norm point in the
-    affine hull of the rows of ``points``.
+def _bordered(inverse: np.ndarray, points: np.ndarray, q: np.ndarray):
+    """``(P P^T + 1 1^T)^-1`` for the rows ``P = points`` with ``q``
+    appended, bordered from ``inverse``, the same matrix without ``q``.
 
-    The weights solve the bordered Gram (KKT) system
-    ``[[P P^T, 1], [1^T, 0]] [alpha; mu] = [0; 1]``.  Forming ``P P^T``
-    squares the condition number of the active set, so one refinement step
-    follows whose residual is taken from ``P`` itself rather than from the
-    rounded Gram matrix (corrected semi-normal equations); that brings the
-    weights back to least-squares accuracy.  Raises
-    ``numpy.linalg.LinAlgError`` when the system is singular.
+    Adding ``1 1^T`` keeps the matrix positive definite exactly while the
+    rows stay affinely independent, so the Schur complement ``s`` of the
+    new row measures how far ``q`` sits from the affine hull of ``P``.
+    Returns ``None`` when ``s`` is not above float resolution of
+    ``q . q + 1``: ``q`` is then affinely dependent on the active rows.
     """
-    k = len(points)
-    kkt = np.ones((k + 1, k + 1))
-    kkt[:k, :k] = points @ points.T
-    kkt[k, k] = 0.0
-    rhs = np.zeros(k + 1)
-    rhs[k] = 1.0
-    sol = np.linalg.solve(kkt, rhs)
-    alpha = sol[:k]
-    rhs[:k] = -(points @ (alpha @ points)) - sol[k]
-    rhs[k] = 1.0 - alpha.sum()
-    return alpha + np.linalg.solve(kkt, rhs)[:k]
+    b = points @ q + 1.0
+    t = inverse @ b
+    diag = float(q @ q) + 1.0
+    s = diag - float(b @ t)
+    if not s > 1e-13 * diag:
+        return None
+    k = len(t)
+    grown = np.empty((k + 1, k + 1))
+    grown[:k, :k] = inverse + t[:, None] * (t / s)
+    grown[k, :k] = grown[:k, k] = -t / s
+    grown[k, k] = 1.0 / s
+    return grown
 
 
-def _minor_cycles(points: np.ndarray, weights: np.ndarray, active: list[Ranking]):
+def _without(inverse: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``(P P^T + 1 1^T)^-1`` for the rows of ``P`` that ``keep`` marks,
+    downdated from ``inverse``, the same matrix for all of ``P``.
+
+    Removing row ``j`` maps the inverse to ``H - h_j h_j^T / H_jj`` on the
+    other rows and columns; that update also zeroes row and column ``j``,
+    so the dropped rows are downdated one after another on the full-size
+    matrix and cut out at the end.
+    """
+    for j in np.flatnonzero(~keep):
+        h = inverse[j]
+        inverse = inverse - h[:, None] * (h / h[j])
+    return inverse[keep][:, keep]
+
+
+def _affine_weights(inverse: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Affine weights (summing to one) of the minimum-norm point in the
+    affine hull of the rows of ``points``, given ``inverse`` for them.
+
+    The minimizer's weights ``alpha`` satisfy ``P P^T alpha = -mu 1`` and
+    ``1^T alpha = 1``, so ``(P P^T + 1 1^T) alpha`` is a multiple of ``1``
+    and ``alpha`` is ``inverse @ 1`` scaled to sum to one.  The maintained
+    inverse carries the rounding of the Gram matrix, which squares the
+    active set's condition number, so one refinement step follows whose
+    residual is taken from ``P`` itself (corrected semi-normal equations);
+    that brings the weights back to least-squares accuracy.
+    """
+    u = inverse.sum(axis=1)
+    u += inverse @ (1.0 - points @ (u @ points) - u.sum())
+    return u / u.sum()
+
+
+def _minor_cycles(
+    points: np.ndarray,
+    weights: np.ndarray,
+    active: list[Ranking],
+    inverse: np.ndarray,
+):
     """Move the convex weights toward the active set's affine minimizer.
 
     When the minimizer lies inside the active set's convex hull, its
     weights are the answer.  Otherwise step from the current weights
     toward it until the first weight reaches zero, drop that vertex, and
-    try again.  Returns the surviving points, weights and rankings, and the
-    number of affine solves made.
+    try again.  ``inverse`` is ``(P P^T + 1 1^T)^-1`` for ``P = points``
+    and is downdated as vertices leave.  Returns the surviving points,
+    weights, rankings and inverse, and the number of affine solves made.
     """
     solves = 0
     while True:
-        alpha = _affine_minimizer(points)
+        alpha = _affine_weights(inverse, points)
         solves += 1
         if alpha.min() > _WEIGHT_DUST:
-            return points, alpha, active, solves
+            return points, alpha, active, inverse, solves
         falling = np.flatnonzero(alpha <= _WEIGHT_DUST)
         drop = weights[falling] - alpha[falling]
         ratios = np.divide(
@@ -236,6 +288,7 @@ def _minor_cycles(points: np.ndarray, weights: np.ndarray, active: list[Ranking]
         weights = (1.0 - theta) * weights + theta * alpha
         keep = weights > _WEIGHT_DUST
         keep[falling[first]] = False
+        inverse = _without(inverse, keep)
         points = points[keep]
         active = [r for r, k in zip(active, keep) if k]
         weights = weights[keep] / weights[keep].sum()
@@ -284,8 +337,9 @@ def solve_maxmin(
 
     Each solve logs one INFO line with the keys ``oracle_calls``,
     ``iterations`` (affine solves of the minor cycles), ``support``,
-    ``bound`` (the certified per-entry error) and ``stop`` (``gap`` or
-    ``box``, the bound that ended the solve).
+    ``max_active`` (the largest active set of the solve), ``bound`` (the
+    certified per-entry error) and ``stop`` (``gap`` or ``box``, the bound
+    that ended the solve).
     """
     config = config or SolverConfig()
     _validated_inputs(instance, constraints, value_model)
@@ -316,6 +370,8 @@ def solve_maxmin(
     members = {ranking.order}
     points = q[None, :]
     weights = np.ones(1)
+    inverse = np.array([[1.0 / (float(q @ q) + 1.0)]])
+    max_active = 1
     x = q
     while True:
         box = float(np.maximum(x - lowest, highest - x).max())
@@ -329,15 +385,18 @@ def solve_maxmin(
             break
         if ranking.order in members:
             raise stalled("the oracle returned an active vertex")
+        inverse = _bordered(inverse, points, q)
+        if inverse is None:
+            raise stalled("singular active set in an affine step")
         norm = float(x @ x)
         active.append(ranking)
         members.add(ranking.order)
+        max_active = max(max_active, len(active))
         points = np.concatenate((points, q[None, :]))
-        weights = np.append(weights, 0.0)
-        try:
-            points, weights, kept, used = _minor_cycles(points, weights, active)
-        except np.linalg.LinAlgError:
-            raise stalled("singular active set in an affine step") from None
+        weights = np.concatenate((weights, (0.0,)))
+        points, weights, kept, inverse, used = _minor_cycles(
+            points, weights, active, inverse
+        )
         if len(kept) < len(active):
             members = {r.order for r in kept}
         active = kept
@@ -357,8 +416,9 @@ def solve_maxmin(
         distribution = prune(distribution, config.prune_threshold)
     logger.info(
         "solve_maxmin n=%d oracle_calls=%d iterations=%d support=%d "
-        "bound=%.6g stop=%s",
-        instance.n, calls, solves, distribution.support_size, bound, stop,
+        "max_active=%d bound=%.6g stop=%s",
+        instance.n, calls, solves, distribution.support_size, max_active,
+        bound, stop,
     )
     return distribution
 

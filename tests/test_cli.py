@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import fairrank
@@ -32,9 +33,14 @@ def eight_csv(tmp_path):
 
 
 def run_json(capsys, argv):
+    """Exit code and printed JSON: the result from stdout, or on failure
+    the error payload from stderr, with nothing on stdout."""
     code = run(argv)
-    out = capsys.readouterr().out
-    return code, json.loads(out)
+    captured = capsys.readouterr()
+    if code == 0:
+        return code, json.loads(captured.out)
+    assert captured.out == ""
+    return code, json.loads(captured.err)
 
 
 def test_parse_instance_roundtrip():
@@ -128,6 +134,45 @@ def test_sample_and_metrics_commands(eight_csv, tmp_path, capsys):
     assert metrics["expected_satisfaction"] == pytest.approx(
         solved["expected_satisfaction"]
     )
+
+
+def _ceil_roster(tmp_path) -> str:
+    """Forty people, twelve protected (B) and drawn lower, so the ceil-0.3
+    floors bind along most prefixes."""
+    rng = np.random.default_rng(40)
+    rows = [(f"a{i}", "A", s) for i, s in enumerate(rng.uniform(0.3, 1.0, 28))]
+    rows += [(f"b{i}", "B", s) for i, s in enumerate(rng.uniform(0.0, 0.7, 12))]
+    path = tmp_path / "ceil.csv"
+    path.write_text("id,group,score\n" + "".join(f"{i},{g},{s}\n" for i, g, s in rows))
+    return str(path)
+
+
+def test_stored_mass_is_checked_to_1e_9(tmp_path, capsys):
+    roster = _ceil_roster(tmp_path)
+    rule = ["--rule", "ceil-alpha", "--alpha", "0.3", "--protected", "B"]
+    dist_path = tmp_path / "dist.json"
+    code = run([
+        "solve", "--input", roster, *rule, "--value-fn", "log-ratio",
+        "--epsilon", "0.05", "--output", str(dist_path),
+    ])
+    assert code == 0
+    solved = json.loads(dist_path.read_text())
+    assert len(solved["support"]) > 10
+    metrics_args = [
+        "metrics", "--input", roster, "--distribution", str(dist_path), *rule,
+        "--value-fn", "log-ratio",
+    ]
+    code, metrics = run_json(capsys, metrics_args)
+    assert code == 0
+    assert metrics["expected_satisfaction"] == pytest.approx(
+        solved["expected_satisfaction"], abs=1e-9
+    )
+
+    solved["support"][0]["probability"] += 1e-7
+    dist_path.write_text(json.dumps(solved))
+    code, payload = run_json(capsys, metrics_args)
+    assert code == 2
+    assert "support probabilities sum to" in payload["error"]["message"]
 
 
 def test_metrics_rejects_an_atom_that_breaks_the_rule(eight_csv, tmp_path, capsys):

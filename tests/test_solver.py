@@ -23,7 +23,7 @@ from fairrank import (
     solve_maxmin,
 )
 from fairrank.cli import load_constraints
-from fairrank.solver import _affine_minimizer
+from fairrank.solver import _affine_weights, _bordered, _without
 
 from conftest import random_instance, random_upper_constraints
 
@@ -131,25 +131,60 @@ def _lstsq_affine_minimizer(points):
     return np.concatenate(([1.0 - beta.sum()], beta))
 
 
-def test_affine_minimizer_matches_least_squares():
+def _grown(points):
+    """The maintained inverse for ``points``, bordered one row at a time."""
+    inverse = np.array([[1.0 / (points[0] @ points[0] + 1.0)]])
+    for k in range(1, len(points)):
+        inverse = _bordered(inverse, points[:k], points[k])
+    return inverse
+
+
+def test_maintained_inverse_matches_least_squares():
+    """Random add/drop sequences with at most n rows in n dimensions, as in
+    a solve, whose vertices share one total and so span at most n - 1
+    affine dimensions.  A downdated inverse keeps the rounding of the
+    larger matrix it came from, so the residual is judged against the
+    worst condition number met so far in the sequence."""
     rng = np.random.default_rng(17)
-    for _ in range(200):
+    for _ in range(60):
         n = int(rng.integers(2, 25))
-        k = int(rng.integers(2, n + 1))
-        points = rng.normal(size=(k, n)) * rng.uniform(0.1, 40.0)
-        alpha = _affine_minimizer(points)
-        assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.abs(alpha - _lstsq_affine_minimizer(points)).max() <= 1e-9
-    assert _affine_minimizer(points[:1]) == pytest.approx([1.0], abs=1e-12)
+        scale = rng.uniform(0.1, 40.0)
+        points = rng.normal(size=(1, n)) * scale
+        inverse = _grown(points)
+        worst_cond = 1.0
+        for _ in range(12):
+            if len(points) < n and rng.random() < 0.6:
+                q = rng.normal(size=n) * scale
+                inverse = _bordered(inverse, points, q)
+                points = np.concatenate((points, q[None, :]))
+            elif len(points) > 1:
+                keep = rng.random(len(points)) < 0.7
+                keep[rng.integers(len(points))] = True
+                inverse = _without(inverse, keep)
+                points = points[keep]
+            gram = points @ points.T + 1.0
+            worst_cond = max(worst_cond, np.linalg.cond(gram))
+            residual = np.abs(inverse @ gram - np.eye(len(points))).max()
+            assert residual <= 1e3 * np.finfo(float).eps * worst_cond
+            alpha = _affine_weights(inverse, points)
+            assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
+            if len(points) > 1:
+                reference = _lstsq_affine_minimizer(points)
+                assert np.abs(alpha - reference).max() <= 1e-9
+    one = rng.normal(size=(1, 6))
+    assert _affine_weights(_grown(one), one) == pytest.approx([1.0], abs=1e-12)
     # A row within 1e-3 of the midpoint of two others: the weights are
     # ill-determined along the near dependency, the point is not.
     points = rng.normal(size=(5, 12))
     near = 0.5 * (points[0] + points[1]) + 1e-3 * rng.normal(size=12)
     points = np.vstack((points, near))
-    alpha = _affine_minimizer(points)
+    alpha = _affine_weights(_grown(points), points)
     assert alpha.sum() == pytest.approx(1.0, abs=1e-12)
     reference = _lstsq_affine_minimizer(points) @ points
     assert np.abs(alpha @ points - reference).max() <= 1e-9
+    # The midpoint itself is affinely dependent: bordering refuses it.
+    mid = 0.5 * (points[0] + points[1])
+    assert _bordered(_grown(points[:5]), points[:5], mid) is None
 
 
 def _count_order_keys(monkeypatch):
@@ -182,12 +217,28 @@ def test_one_weight_sort_per_oracle_call(eight, eight_upper, eight_model, monkey
 
 
 def test_singular_active_set_raises(eight, eight_upper, eight_model, monkeypatch):
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("Singular matrix")
+    """The second vertex is moved to within 1e-9 of the first, along the
+    direction the oracle found: the gap stays positive, so the solve goes
+    on, but the new vertex is affinely dependent on the active set to
+    float resolution."""
+    calls = []
+    real = fairrank.solver.best_response
 
-    monkeypatch.setattr(np.linalg, "solve", singular)
+    def dependent(instance, constraints, model, weights):
+        res = real(instance, constraints, model, weights)
+        calls.append(res.values)
+        if len(calls) == 2:
+            first = calls[0]
+            values = first + 1e-9 * (res.values - first)
+            return fairrank.oracle.OracleResult(
+                res.ranking, values, float(weights @ values)
+            )
+        return res
+
+    monkeypatch.setattr(fairrank.solver, "best_response", dependent)
     with pytest.raises(IterationCapExceeded, match="singular active set"):
-        solve_maxmin(eight, eight_upper, eight_model)
+        solve_maxmin(eight, eight_upper, eight_model, SolverConfig(epsilon=1e-8))
+    assert len(calls) == 2
 
 
 def test_solve_logs_one_info_line(eight, eight_upper, eight_model, caplog):
@@ -197,10 +248,12 @@ def test_solve_logs_one_info_line(eight, eight_upper, eight_model, caplog):
     assert len(lines) == 1
     fields = dict(item.split("=") for item in lines[0].split()[1:])
     assert set(fields) == {
-        "n", "oracle_calls", "iterations", "support", "bound", "stop",
+        "n", "oracle_calls", "iterations", "support", "max_active", "bound",
+        "stop",
     }
     assert int(fields["oracle_calls"]) == dist.oracle_calls
     assert int(fields["support"]) == dist.support_size
+    assert dist.support_size <= int(fields["max_active"]) <= eight.n + 1
     assert float(fields["bound"]) <= 0.01
     assert fields["stop"] in {"gap", "box"}
 
@@ -285,6 +338,8 @@ def test_distribution_merges_duplicate_support(eight, eight_model):
     dist = FairDistribution(eight, [(r, 0.5, values), (r, 0.5, values)])
     assert dist.support_size == 1
     assert dist.support[0][1] == pytest.approx(1.0)
+    assert dist.expected.tolist() == values.tolist()
+    assert not dist.atoms[0].values.flags.writeable
 
 
 def test_distribution_validates_probabilities(eight, eight_model):
@@ -294,5 +349,10 @@ def test_distribution_validates_probabilities(eight, eight_model):
     values = eight_model.values(r)
     with pytest.raises(ValueError):
         FairDistribution(eight, [(r, 0.5, values)])
+    with pytest.raises(ValueError, match="sum to"):
+        FairDistribution(eight, [(r, 1.0 + 1e-7, values)])
+    assert FairDistribution(eight, [(r, 1.0 + 5e-10, values)]).support_size == 1
+    with pytest.raises(ValueError, match="shape"):
+        FairDistribution(eight, [(r, 1.0, values[:-1])])
     with pytest.raises(ValueError):
         FairDistribution(eight, [])
