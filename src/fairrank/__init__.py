@@ -51,7 +51,6 @@ from .analysis import (
 from .solver import (
     FairDistribution,
     SolverConfig,
-    prune,
     sample,
     solve_maxmin,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "FairDistribution",
     "solve_maxmin",
     "sample",
-    "prune",
     "FairRankingError",
     "InfeasibleConstraints",
     "InstanceTooLarge",

@@ -237,7 +237,7 @@ def _constraints_from_args(args, instance: Instance) -> ConstraintSet:
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(epsilon=args.epsilon, prune_threshold=args.threshold)
+    return SolverConfig(epsilon=args.epsilon)
 
 
 def _cmd_solve(args) -> dict:
@@ -388,8 +388,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if solver:
             p.add_argument("--epsilon", type=float, default=0.01,
                            help="additive accuracy in value units")
-            p.add_argument("--threshold", type=float, default=1e-9,
-                           help="support prune threshold")
         p.add_argument("--output", default=None, help="write JSON here instead of stdout")
 
     p = sub.add_parser("solve", help="maxmin-fair distribution")
@@ -426,7 +424,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["position-diff", "log-ratio", "top-k"])
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--threshold", type=float, default=1e-9)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_experiment)
 

@@ -184,9 +184,6 @@ class Ranking:
     def from_ids(cls, instance: Instance, ids: Sequence[str]) -> "Ranking":
         return cls(instance.index_of(u) for u in ids)
 
-    def position_of(self, index: int) -> int:
-        return self.position[index]
-
     def ids(self, instance: Instance) -> tuple[str, ...]:
         return tuple(instance.ids[i] for i in self.order)
 
@@ -220,14 +217,13 @@ class ValueModel:
       value is -1, 0 or +1 depending on crossing the top-``k`` boundary.
     """
 
-    __slots__ = ("kind", "position_scores", "merit_scores", "k", "_f", "_g")
+    __slots__ = ("kind", "position_scores", "merit_scores", "_f", "_g")
 
     def __init__(
         self,
         kind: str,
         position_scores: Sequence[float],
         merit_scores: Sequence[float],
-        k: int | None = None,
     ):
         f = np.array([float(x) for x in position_scores])
         g = np.array([float(x) for x in merit_scores])
@@ -241,7 +237,6 @@ class ValueModel:
         self.kind = kind
         self.position_scores = tuple(f.tolist())
         self.merit_scores = tuple(g.tolist())
-        self.k = k
         f.setflags(write=False)
         g.setflags(write=False)
         self._f = f
@@ -268,7 +263,7 @@ class ValueModel:
             raise ValueError("k must be between 1 and n")
         f = [1.0 if i <= k else 0.0 for i in range(1, n + 1)]
         g = [1.0 if p <= k else 0.0 for p in instance.merit_position]
-        return cls("top-k", f, g, k=k)
+        return cls("top-k", f, g)
 
     @classmethod
     def custom(
@@ -281,23 +276,10 @@ class ValueModel:
         return len(self.position_scores)
 
     @property
-    def vmin(self) -> float:
-        """Smallest attainable value (worst position, largest offset)."""
-        return float(self._f[-1] - self._g.max())
-
-    @property
-    def vmax(self) -> float:
-        """Largest attainable value (best position, smallest offset)."""
-        return float(self._f[0] - self._g.min())
-
-    @property
     def integer_valued(self) -> bool:
         return all(x.is_integer() for x in self.position_scores) and all(
             x.is_integer() for x in self.merit_scores
         )
-
-    def value(self, ranking: Ranking, index: int) -> float:
-        return float(self._f[ranking.position[index] - 1] - self._g[index])
 
     def values(self, ranking: Ranking) -> np.ndarray:
         """Per-individual values under ``ranking``, indexed by individual."""

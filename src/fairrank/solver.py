@@ -68,7 +68,6 @@ __all__ = [
     "FairDistribution",
     "solve_maxmin",
     "sample",
-    "prune",
 ]
 
 
@@ -83,14 +82,11 @@ class SolverConfig:
     """
 
     epsilon: float = 0.01
-    prune_threshold: float = 1e-9
     max_iterations_cap: int = 50_000_000
 
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if not 0 <= self.prune_threshold < 1:
-            raise ValueError("prune threshold must lie in [0, 1)")
         if self.max_iterations_cap < 1:
             raise ValueError("the iteration cap must be at least 1")
 
@@ -108,8 +104,9 @@ class RankedAtom:
 class FairDistribution:
     """A distribution over valid rankings with its expected satisfactions.
 
-    Duplicate rankings are merged and probabilities renormalized at
-    construction, so ``expected`` always matches the support exactly.
+    Duplicate rankings are merged, atoms of probability zero skipped and
+    probabilities renormalized at construction, so ``expected`` always
+    matches the support exactly; a negative probability is refused.
     ``lambda_phases`` records the distinct satisfaction levels in raw value
     units; ``oracle_calls`` counts every greedy-oracle consultation made
     while producing the distribution.
@@ -133,8 +130,12 @@ class FairDistribution:
         epsilon: float | None = None,
     ):
         merged: dict[tuple[int, ...], list] = {}
-        for ranking, prob, values in weighted:
-            if prob <= 0:
+        for k, (ranking, prob, values) in enumerate(weighted):
+            if not prob >= 0:
+                raise ValueError(
+                    f"support atom {k} has probability {prob}, expected >= 0"
+                )
+            if prob == 0:
                 continue
             entry = merged.get(ranking.order)
             if entry is None:
@@ -261,6 +262,7 @@ def _minor_cycles(
     points: np.ndarray,
     weights: np.ndarray,
     active: list[Ranking],
+    members: set[tuple[int, ...]],
     inverse: np.ndarray,
 ):
     """Move the convex weights toward the active set's affine minimizer.
@@ -269,8 +271,9 @@ def _minor_cycles(
     weights are the answer.  Otherwise step from the current weights
     toward it until the first weight reaches zero, drop that vertex, and
     try again.  ``inverse`` is ``(P P^T + 1 1^T)^-1`` for ``P = points``
-    and is downdated as vertices leave.  Returns the surviving points,
-    weights, rankings and inverse, and the number of affine solves made.
+    and is downdated as vertices leave; the orders of dropped rankings
+    leave ``members``.  Returns the surviving points, weights, rankings and
+    inverse, and the number of affine solves made.
     """
     solves = 0
     while True:
@@ -290,6 +293,7 @@ def _minor_cycles(
         keep[falling[first]] = False
         inverse = _without(inverse, keep)
         points = points[keep]
+        members.difference_update(r.order for r, k in zip(active, keep) if not k)
         active = [r for r, k in zip(active, keep) if k]
         weights = weights[keep] / weights[keep].sum()
 
@@ -327,13 +331,15 @@ def solve_maxmin(
 
     Constraints must be upper-only and feasible.  The result's sorted
     expected-satisfaction vector matches the lexicographic optimum to
-    within ``config.epsilon`` per entry, support atoms below the prune
-    threshold are dropped, and the run is deterministic for fixed inputs
-    and configuration.  A solve that stalls raises
-    :class:`IterationCapExceeded` with the reason and the last certified
-    bound: the oracle-call cap is reached, the oracle returns a vertex
-    already in the active set, an affine step meets a singular active set,
-    or a major cycle fails to shorten ``x``.
+    within ``config.epsilon`` per entry, and the run is deterministic for
+    fixed inputs and configuration.  The support is Wolfe's final active
+    set as it stands: at most ``n`` rankings, each with probability above
+    ``1e-12``; no atom is dropped or reweighted after the certificate.
+
+    A solve that stalls raises :class:`IterationCapExceeded` with the
+    reason and the last certified bound: the oracle-call cap is reached,
+    the oracle returns a vertex already in the active set, an affine step
+    meets a singular active set, or a major cycle fails to shorten ``x``.
 
     Each solve logs one INFO line with the keys ``oracle_calls``,
     ``iterations`` (affine solves of the minor cycles), ``support``,
@@ -394,12 +400,9 @@ def solve_maxmin(
         max_active = max(max_active, len(active))
         points = np.concatenate((points, q[None, :]))
         weights = np.concatenate((weights, (0.0,)))
-        points, weights, kept, inverse, used = _minor_cycles(
-            points, weights, active, inverse
+        points, weights, active, inverse, used = _minor_cycles(
+            points, weights, active, members, inverse
         )
-        if len(kept) < len(active):
-            members = {r.order for r in kept}
-        active = kept
         solves += used
         x = weights @ points
         if not float(x @ x) < norm:
@@ -407,13 +410,11 @@ def solve_maxmin(
 
     distribution = FairDistribution(
         instance,
-        [(r, p, v) for r, p, v in zip(active, weights, points)],
+        zip(active, weights, points),
         lambda_phases=_levels(x, bound),
         oracle_calls=calls,
         epsilon=eps,
     )
-    if config.prune_threshold > 0:
-        distribution = prune(distribution, config.prune_threshold)
     logger.info(
         "solve_maxmin n=%d oracle_calls=%d iterations=%d support=%d "
         "max_active=%d bound=%.6g stop=%s",
@@ -421,31 +422,6 @@ def solve_maxmin(
         bound, stop,
     )
     return distribution
-
-
-def prune(distribution: FairDistribution, threshold: float) -> FairDistribution:
-    """Drop support atoms with probability below ``threshold`` and
-    renormalize; expected satisfactions are recomputed from the survivors.
-    When no atom falls below ``threshold`` the distribution is returned
-    as it is.
-
-    ``threshold`` must leave at least one atom standing.
-    """
-    if not 0 <= threshold < 1:
-        raise ValueError("threshold must lie in [0, 1)")
-    kept = [a for a in distribution.atoms if a.probability >= threshold]
-    if not kept:
-        raise ValueError("threshold would drop the entire support")
-    if len(kept) == len(distribution.atoms):
-        return distribution
-    total = sum(a.probability for a in kept)
-    return FairDistribution(
-        distribution.instance,
-        [(a.ranking, a.probability / total, a.values) for a in kept],
-        lambda_phases=distribution.lambda_phases,
-        oracle_calls=distribution.oracle_calls,
-        epsilon=distribution.epsilon,
-    )
 
 
 def sample(distribution: FairDistribution, rng_seed) -> Ranking:

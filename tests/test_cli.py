@@ -192,6 +192,27 @@ def test_metrics_rejects_an_atom_that_breaks_the_rule(eight_csv, tmp_path, capsy
     assert "support atom 0" in payload["error"]["message"]
 
 
+def test_metrics_rejects_a_negative_probability(eight_csv, tmp_path, capsys):
+    """A copy of atom 0 at probability -0.3 next to atoms that still sum to
+    one."""
+    code, solved = run_json(capsys, [
+        "solve", "--input", eight_csv, "--rule", "floor-balanced",
+        "--epsilon", "0.05",
+    ])
+    assert code == 0
+    extra = len(solved["support"])
+    solved["support"].append(dict(solved["support"][0], probability=-0.3))
+    dist_path = tmp_path / "dist.json"
+    dist_path.write_text(json.dumps(solved))
+    code, payload = run_json(capsys, [
+        "metrics", "--input", eight_csv, "--distribution", str(dist_path),
+        "--rule", "floor-balanced",
+    ])
+    assert code == 2
+    assert f"support atom {extra}" in payload["error"]["message"]
+    assert "probability -0.3" in payload["error"]["message"]
+
+
 def test_sample_rejects_an_atom_that_breaks_the_rule(eight_csv, tmp_path, capsys):
     code, solved = run_json(capsys, [
         "solve", "--input", eight_csv, "--rule", "floor-balanced",
@@ -256,6 +277,14 @@ def test_experiment_command(eight_csv, capsys):
     assert payload["alphas"] == [0.25]
     row = payload["rows"][0]
     assert row["maxmin"]["min_value"] >= row["deterministic"]["min_value"] - 1.0
+
+
+@pytest.mark.parametrize("command", ["solve", "experiment"])
+def test_threshold_flag_is_a_usage_error(eight_csv, command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run([command, "--input", eight_csv, "--threshold", "1e-9"])
+    assert exit_info.value.code == 2
+    assert "--threshold" in capsys.readouterr().err
 
 
 def test_output_flag_writes_file(eight_csv, tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Minimum-norm-point solver: answers, certificates, stalls, sampling."""
 
+import dataclasses
 import logging
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import fairrank.oracle
 import fairrank.solver
@@ -18,7 +21,6 @@ from fairrank import (
     enumerate_valid_rankings,
     fair_decomposition,
     is_valid,
-    prune,
     sample,
     solve_maxmin,
 )
@@ -32,9 +34,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(epsilon=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(prune_threshold=1.0)
-    with pytest.raises(ValueError):
         SolverConfig(max_iterations_cap=0)
+    fields = [f.name for f in dataclasses.fields(SolverConfig)]
+    assert fields == ["epsilon", "max_iterations_cap"]
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +107,62 @@ def test_custom_ties_reach_the_optimum_quickly():
     gap = np.sort(dist.expected) - np.sort(dec.targets)
     assert np.abs(gap).max() <= 0.01
     assert dist.oracle_calls < 1000
+
+
+@st.composite
+def solver_cases(draw):
+    """n 1-7 with 1-3 groups all present, scores that may all be equal,
+    upper caps that a random witness ranking meets plus 0-2 slack per
+    prefix, and one of the four value models (top-k and custom bring
+    ties in the position scores)."""
+    n = draw(st.integers(1, 7))
+    t = draw(st.integers(1, min(3, n)))
+    rest = draw(st.lists(st.integers(0, t - 1), min_size=n - t, max_size=n - t))
+    groups = draw(st.permutations(list(range(t)) + rest))
+    if draw(st.booleans()):
+        scores = [0.5] * n
+    else:
+        scores = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+        scores = [s / 10 for s in scores]
+    inst = Instance.from_rows(
+        (f"u{i + 1}", "ABC"[g], s) for i, (g, s) in enumerate(zip(groups, scores))
+    )
+    witness = draw(st.permutations(range(n)))
+    counts = np.zeros((t, n), dtype=int)
+    for i, u in enumerate(witness):
+        counts[:, i] = counts[:, i - 1] if i else 0
+        counts[inst.group_of[u], i] += 1
+    slack = draw(st.lists(st.integers(0, 2), min_size=t * n, max_size=t * n))
+    cons = ConstraintSet(counts + np.reshape(slack, (t, n)))
+    kind = draw(st.sampled_from(["position-diff", "log-ratio", "top-k", "custom"]))
+    if kind == "position-diff":
+        model = ValueModel.position_diff(inst)
+    elif kind == "log-ratio":
+        model = ValueModel.log_ratio(inst)
+    elif kind == "top-k":
+        model = ValueModel.top_k_selection(inst, draw(st.integers(1, n)))
+    else:
+        f = draw(st.lists(st.integers(0, 2 * n), min_size=n, max_size=n))
+        f.sort(reverse=True)
+        model = ValueModel.custom(f, [f[p - 1] for p in inst.merit_position])
+    return inst, cons, model
+
+
+@given(solver_cases())
+@settings(max_examples=300, deadline=None)
+def test_solve_matches_exact_decomposition(case):
+    """Sorted vector within epsilon of the exact decomposition, and the
+    support is the final active set: at most n atoms, none below the
+    affine-weight dust, mass one."""
+    inst, cons, model = case
+    dist = solve_maxmin(inst, cons, model, SolverConfig(epsilon=0.01))
+    dec = fair_decomposition(inst, cons, model)
+    assert np.abs(np.sort(dist.expected) - np.sort(dec.targets)).max() <= 0.01
+    probs = [p for _, p in dist.support]
+    assert len(probs) <= inst.n
+    assert min(probs) > 1e-12
+    assert sum(probs) == pytest.approx(1.0, abs=1e-9)
+    assert all(is_valid(r, inst, cons) for r, _ in dist.support)
 
 
 def test_degenerate_model_solves_at_once():
@@ -296,22 +354,6 @@ def hand_mixture(eight, eight_upper, eight_model):
     )
 
 
-def test_prune_drops_and_renormalizes(hand_mixture):
-    pruned = prune(hand_mixture, 0.15)
-    assert pruned.support_size == 2
-    probs = sorted(p for _, p in pruned.support)
-    assert probs == pytest.approx([1 / 3, 2 / 3])
-    assert pruned.lambda_phases == hand_mixture.lambda_phases
-    assert prune(hand_mixture, 0.0).support_size == 3
-
-
-def test_prune_threshold_validation(hand_mixture):
-    with pytest.raises(ValueError):
-        prune(hand_mixture, 1.0)
-    with pytest.raises(ValueError):
-        prune(hand_mixture, 0.9)
-
-
 def test_sample_is_seed_deterministic(hand_mixture):
     assert sample(hand_mixture, 42) == sample(hand_mixture, 42)
     gen = np.random.default_rng(7)
@@ -354,5 +396,10 @@ def test_distribution_validates_probabilities(eight, eight_model):
     assert FairDistribution(eight, [(r, 1.0 + 5e-10, values)]).support_size == 1
     with pytest.raises(ValueError, match="shape"):
         FairDistribution(eight, [(r, 1.0, values[:-1])])
+    # Positive atoms summing to one do not excuse a negative one.
+    with pytest.raises(ValueError, match="support atom 1 .* probability -0.3"):
+        FairDistribution(eight, [(r, 1.0, values), (r, -0.3, values)])
+    zero = FairDistribution(eight, [(r, 1.0, values), (r, 0.0, values)])
+    assert zero.support_size == 1
     with pytest.raises(ValueError):
         FairDistribution(eight, [])
