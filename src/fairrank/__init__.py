@@ -1,8 +1,8 @@
 """Maxmin-fair ranking under prefix group-fairness constraints.
 
 Build an :class:`Instance`, pick a :class:`ValueModel` preset, state prefix
-group bounds as a :class:`ConstraintSet` (converting lower bounds with
-:func:`to_upper_only`), then call :func:`solve_maxmin` for a randomized
+group bounds as a :class:`ConstraintSet` (caps and, for one or two groups,
+floors), then call :func:`solve_maxmin` for a randomized
 ranking policy that lexicographically maximizes the sorted vector of
 expected per-individual satisfactions.  The :mod:`fairrank.analysis` module
 holds exact small-instance oracles and fairness metrics; the

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ConstraintSet, Instance, Ranking, ValueModel, to_upper_only
+from .core import ConstraintSet, Instance, Ranking, ValueModel
 from .errors import InstanceTooLarge
 from .oracle import best_response
 
@@ -90,7 +90,7 @@ def enumerate_valid_rankings(
 
 def _indicator_best_total(
     instance: Instance,
-    upper_constraints: ConstraintSet,
+    constraints: ConstraintSet,
     value_model: ValueModel,
     mask: int,
     cache: dict[int, float] | None = None,
@@ -108,7 +108,7 @@ def _indicator_best_total(
     weights = np.fromiter(
         ((mask >> i) & 1 for i in range(n)), dtype=float, count=n
     )
-    res = best_response(instance, upper_constraints, value_model, weights)
+    res = best_response(instance, constraints, value_model, weights)
     total = float(res.values[weights > 0].sum()) if mask else 0.0
     if cache is not None:
         cache[mask] = total
@@ -129,8 +129,7 @@ def max_total_value(
         if not 0 <= i < instance.n:
             raise ValueError(f"individual index {i} out of range")
         mask |= 1 << i
-    uc = to_upper_only(constraints, instance)
-    return _indicator_best_total(instance, uc, value_model, mask)
+    return _indicator_best_total(instance, constraints, value_model, mask)
 
 
 def _ratio(total: float, size: int, integer: bool) -> Fraction | float:
@@ -141,7 +140,7 @@ def _ratio(total: float, size: int, integer: bool) -> Fraction | float:
 
 def _scan_min_ratio(
     instance: Instance,
-    uc: ConstraintSet,
+    constraints: ConstraintSet,
     value_model: ValueModel,
     base_mask: int,
     base_total: float,
@@ -156,7 +155,9 @@ def _scan_min_ratio(
     sub = rest_mask
     while sub:
         size = sub.bit_count()
-        gain = _indicator_best_total(instance, uc, value_model, base_mask | sub, cache)
+        gain = _indicator_best_total(
+            instance, constraints, value_model, base_mask | sub, cache
+        )
         ratio = _ratio(gain - base_total, size, integer)
         if best is None:
             best, union = ratio, sub
@@ -192,10 +193,9 @@ def min_satisfaction_bound(
         raise InstanceTooLarge(
             f"the subset scan is limited to n <= {SUBSET_SCAN_GUARD}, got n = {n}"
         )
-    uc = to_upper_only(constraints, instance)
     cache: dict[int, float] = {}
     best, _ = _scan_min_ratio(
-        instance, uc, value_model, 0, 0.0, (1 << n) - 1, cache
+        instance, constraints, value_model, 0, 0.0, (1 << n) - 1, cache
     )
     return float(best)
 
@@ -234,7 +234,6 @@ def fair_decomposition(
         raise InstanceTooLarge(
             f"the subset scan is limited to n <= {SUBSET_SCAN_GUARD}, got n = {n}"
         )
-    uc = to_upper_only(constraints, instance)
     cache: dict[int, float] = {}
     full = (1 << n) - 1
     s_mask = 0
@@ -243,14 +242,14 @@ def fair_decomposition(
     targets = np.empty(n, dtype=float)
     while s_mask != full:
         best, union = _scan_min_ratio(
-            instance, uc, value_model, s_mask, s_total, full ^ s_mask, cache
+            instance, constraints, value_model, s_mask, s_total, full ^ s_mask, cache
         )
         members = tuple(i for i in range(n) if (union >> i) & 1)
         level = float(best)
         blocks.append((members, level))
         targets[list(members)] = level
         s_mask |= union
-        s_total = _indicator_best_total(instance, uc, value_model, s_mask, cache)
+        s_total = _indicator_best_total(instance, constraints, value_model, s_mask, cache)
     return FairDecomposition(tuple(blocks), targets)
 
 

@@ -16,10 +16,7 @@ __all__ = ["deterministic_baseline", "baseline_min_value"]
 
 
 def deterministic_baseline(instance: Instance, constraints: ConstraintSet) -> Ranking:
-    """The merit-order greedy valid ranking under upper-only bounds."""
-    if not constraints.upper_only:
-        raise ValueError("the baseline needs upper-only constraints; "
-                         "convert with to_upper_only first")
+    """The merit-order greedy valid ranking."""
     return _greedy_fill(instance, constraints, instance.merit_order)
 
 

@@ -5,8 +5,8 @@ Subcommands::
     solve       compute a maxmin-fair distribution over valid rankings
     baseline    compute the deterministic merit-greedy ranking
     sample      draw one ranking from a stored distribution, first checking
-                every stored ranking against the constraints when
-                ``--input`` is given
+                its probabilities, and every stored ranking against the
+                constraints when ``--input`` is given
     metrics     re-evaluate a stored distribution against its instance and
                 constraints
     decompose   exact satisfaction-block decomposition (small instances)
@@ -38,7 +38,6 @@ from .core import (
     build_rule_constraints,
     is_feasible,
     is_valid,
-    to_upper_only,
 )
 from .errors import (
     DuplicateId,
@@ -48,7 +47,7 @@ from .errors import (
     IterationCapExceeded,
     ParseError,
 )
-from .solver import FairDistribution, SolverConfig, _draw_index, solve_maxmin
+from .solver import FairDistribution, SolverConfig, _check_mass, _draw_index, solve_maxmin
 
 __all__ = [
     "parse_instance",
@@ -242,7 +241,7 @@ def _solver_config(args) -> SolverConfig:
 
 def _cmd_solve(args) -> dict:
     instance = _instance_from_args(args)
-    constraints = to_upper_only(_constraints_from_args(args, instance), instance)
+    constraints = _constraints_from_args(args, instance)
     value_model = _value_model(instance, args.value_fn, args.k)
     distribution = solve_maxmin(instance, constraints, value_model, _solver_config(args))
     payload = distribution_to_dict(distribution)
@@ -252,7 +251,7 @@ def _cmd_solve(args) -> dict:
 
 def _cmd_baseline(args) -> dict:
     instance = _instance_from_args(args)
-    constraints = to_upper_only(_constraints_from_args(args, instance), instance)
+    constraints = _constraints_from_args(args, instance)
     if not is_feasible(instance, constraints):
         raise InfeasibleConstraints("no valid ranking satisfies the bounds")
     value_model = _value_model(instance, args.value_fn, args.k)
@@ -281,9 +280,9 @@ def _cmd_sample(args) -> dict:
     ):
         raise ValueError("checking against constraints needs --input")
     support = data["support"]
-    if not support:
-        raise ValueError("stored distribution has empty support")
-    idx = _draw_index([float(e["probability"]) for e in support], args.seed)
+    probabilities = [float(e["probability"]) for e in support]
+    _check_mass(probabilities)
+    idx = _draw_index(probabilities, args.seed)
     return {"ranking": list(support[idx]["ranking"]), "seed": args.seed}
 
 
@@ -327,12 +326,9 @@ def _cmd_experiment(args) -> dict:
     rows = []
     config = _solver_config(args)
     for alpha in alphas:
-        constraints = to_upper_only(
-            build_rule_constraints(
-                instance, "ceil-alpha", alpha=alpha,
-                protected_group=protected, start_k=args.start_k,
-            ),
-            instance,
+        constraints = build_rule_constraints(
+            instance, "ceil-alpha", alpha=alpha,
+            protected_group=protected, start_k=args.start_k,
         )
         if not is_feasible(instance, constraints):
             raise InfeasibleConstraints(f"alpha={alpha} admits no valid ranking")

@@ -328,14 +328,20 @@ class ConstraintSet:
     relies on.  Construction fails with :class:`InfeasibleConstraints` when
     some repaired floor exceeds the matching cap.
 
-    ``release[k][j]`` is the first 0-based position whose prefix cap admits
-    a ``(j+1)``-th member of group ``k``, or ``n`` when no prefix does.  The
-    repaired caps are nondecreasing, so once a member is admitted it stays
-    admitted; the greedy oracle fills from this table.
+    ``release[k][j]`` is the first 0-based position whose equivalent cap
+    admits a ``(j+1)``-th member of group ``k``, or ``n`` when no prefix
+    does.  The equivalent caps admit exactly the satisfying rankings: the
+    upper bounds, each tightened with two groups by the other group's floor
+    (``l`` members of one group in a prefix of length ``i`` cap the other
+    at ``i - l``) and repaired again.  They are nondecreasing, so once a
+    member is admitted it stays admitted; the greedy oracle fills from this
+    table.  Three or more groups with active lower bounds have no such
+    rewrite, and ``release`` is ``None``.
     """
 
     __slots__ = (
-        "upper", "lower", "release", "upper_only", "n", "n_groups", "_urows", "_lrows"
+        "upper", "lower", "release", "upper_only", "n", "n_groups",
+        "_urows", "_lrows", "_caps",
     )
 
     def __init__(
@@ -371,9 +377,16 @@ class ConstraintSet:
         self.upper_only = not lrows.any()
         self.upper = tuple(tuple(row) for row in urows.tolist())
         self.lower = tuple(tuple(row) for row in lrows.tolist())
-        counts = np.arange(1, n + 1)
-        self.release = tuple(
-            tuple(np.searchsorted(row, counts).tolist()) for row in urows
+        prefix = np.arange(1, n + 1)
+        if self.upper_only or t == 1:
+            caps = urows
+        elif t == 2:
+            caps = _normalize_upper(np.minimum(urows, prefix - lrows[::-1]), n)
+        else:
+            caps = None
+        self._caps = caps
+        self.release = None if caps is None else tuple(
+            tuple(np.searchsorted(row, prefix).tolist()) for row in caps
         )
 
     @classmethod
@@ -492,51 +505,39 @@ def build_rule_constraints(
     raise ValueError(f"unknown constraint rule {rule!r}")
 
 
-def to_upper_only(constraints: ConstraintSet, instance: Instance) -> ConstraintSet:
-    """Rewrite lower bounds as equivalent upper bounds on the other group.
-
-    With two groups, requiring ``l`` members of group A in a prefix of
-    length ``i`` is the same as capping group B at ``i - l`` there.  The
-    rewrite preserves the valid set exactly.  With one group any repaired
-    lower bound is vacuous.  Three or more groups with active lower bounds
-    have no such single-group rewrite and are rejected.
-    """
+def _equivalent_caps(constraints: ConstraintSet, instance: Instance) -> np.ndarray:
+    """The upper bounds admitting exactly the rankings ``constraints``
+    admits (see :class:`ConstraintSet`), after checking that the set
+    matches ``instance`` and that such bounds exist."""
     if constraints.n != instance.n or constraints.n_groups != instance.n_groups:
         raise ValueError("constraints do not match the instance shape")
-    if constraints.upper_only:
-        return constraints
-    if constraints.n_groups == 1:
-        return ConstraintSet(constraints.upper)
-    if constraints.n_groups != 2:
+    if constraints._caps is None:
         raise ValueError(
             "lower bounds with three or more groups cannot be rewritten as "
             "upper bounds; supply upper-only constraints instead"
         )
-    n = constraints.n
-    prefix = np.arange(1, n + 1)
-    upper = constraints.upper_array().copy()
-    lower = constraints.lower_array()
-    upper[1] = np.minimum(upper[1], prefix - lower[0])
-    upper[0] = np.minimum(upper[0], prefix - lower[1])
-    if upper.min() < 0:
-        raise InfeasibleConstraints(
-            "a prefix lower bound exceeds the prefix length"
-        )
-    return ConstraintSet(upper)
+    return constraints._caps
+
+
+def to_upper_only(constraints: ConstraintSet, instance: Instance) -> ConstraintSet:
+    """The upper-only set of the equivalent caps: same valid rankings.
+
+    Every entry point accepts one- and two-group lower bounds as given, so
+    this only exposes the rewritten caps.  Three or more groups with active
+    lower bounds raise ``ValueError``.
+    """
+    caps = _equivalent_caps(constraints, instance)
+    return constraints if constraints.upper_only else ConstraintSet(caps)
 
 
 def is_feasible(instance: Instance, constraints: ConstraintSet) -> bool:
-    """Whether some ranking satisfies the (upper-only) bounds.
+    """Whether some ranking satisfies the bounds.
 
     After the monotone repair, a full assignment exists exactly when every
-    prefix can be covered: ``sum_k min(upper[k][i], |group k|) >= i``.
+    prefix can be covered by the equivalent caps:
+    ``sum_k min(caps[k][i], |group k|) >= i``.
     """
-    if not constraints.upper_only:
-        raise ValueError("feasibility test expects upper-only constraints; "
-                         "convert with to_upper_only first")
-    if constraints.n != instance.n or constraints.n_groups != instance.n_groups:
-        raise ValueError("constraints do not match the instance shape")
     capacity = np.minimum(
-        constraints.upper_array(), instance.group_sizes[:, None]
+        _equivalent_caps(constraints, instance), instance.group_sizes[:, None]
     ).sum(axis=0)
     return bool(np.all(capacity >= np.arange(1, instance.n + 1)))

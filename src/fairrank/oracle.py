@@ -8,15 +8,16 @@ swapping any inverted pair never helps.  Filling positions top to bottom
 with the heaviest still-placeable individual is therefore optimal, and the
 result depends only on the *order* of the weights.
 
-Constraints must be upper-only (see :func:`fairrank.core.to_upper_only`)
-and in the normalized monotone form that :class:`fairrank.core.ConstraintSet`
-guarantees, so a placement that respects the cap at its own prefix can never
-violate a later prefix.  The constraint set turns its caps into release
-positions once: the first position where each group may take its next
-member.  The fill then walks the weight order once and puts each individual
-at the first free position at or after that release, found through a
-path-compressed next-free-position list, in near-linear time instead of a
-scan over every group at every position.
+The fill reads the constraint set's equivalent caps: its upper bounds with
+any one- or two-group lower bounds rewritten into them (see
+:class:`fairrank.core.ConstraintSet`), in the normalized monotone form, so a
+placement that respects the cap at its own prefix can never violate a later
+prefix.  The constraint set turns those caps into release positions once:
+the first position where each group may take its next member.  The fill
+then walks the weight order once and puts each individual at the first free
+position at or after that release, found through a path-compressed
+next-free-position list, in near-linear time instead of a scan over every
+group at every position.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConstraintSet, Instance, Ranking, ValueModel
+from .core import ConstraintSet, Instance, Ranking, ValueModel, _equivalent_caps
 from .errors import InfeasibleConstraints
 
 __all__ = [
@@ -76,8 +77,10 @@ def _greedy_fill(
     that same position, because no one it would yield to is left; the rest
     then fill the remaining positions by the same rule.  Releases only move
     later within a group, so a group's members keep their order.  Raises
-    :class:`InfeasibleConstraints` naming the first position left empty.
+    :class:`InfeasibleConstraints` naming the first position left empty,
+    and ``ValueError`` when the constraints have no equivalent caps.
     """
+    _equivalent_caps(constraints, instance)
     n = instance.n
     release = constraints.release
     group_of = instance.group_of.tolist()
@@ -114,11 +117,9 @@ def best_response(
     """Maximize the weighted total value over valid rankings.
 
     Raises :class:`InfeasibleConstraints` when no valid ranking exists and
-    ``ValueError`` on negative weights or lower-bounded constraints.
+    ``ValueError`` on negative weights or on lower bounds over three or more
+    groups.
     """
-    if not constraints.upper_only:
-        raise ValueError("the oracle needs upper-only constraints; "
-                         "convert with to_upper_only first")
     order = weight_order_key(instance, weights)
     ranking = _greedy_fill(instance, constraints, order)
     values = value_model.values(ranking)

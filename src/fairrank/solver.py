@@ -129,12 +129,10 @@ class FairDistribution:
         oracle_calls: int = 0,
         epsilon: float | None = None,
     ):
+        weighted = list(weighted)
+        _check_mass([prob for _, prob, _ in weighted])
         merged: dict[tuple[int, ...], list] = {}
-        for k, (ranking, prob, values) in enumerate(weighted):
-            if not prob >= 0:
-                raise ValueError(
-                    f"support atom {k} has probability {prob}, expected >= 0"
-                )
+        for ranking, prob, values in weighted:
             if prob == 0:
                 continue
             entry = merged.get(ranking.order)
@@ -142,11 +140,7 @@ class FairDistribution:
                 merged[ranking.order] = [ranking, float(prob), values]
             else:
                 entry[1] += float(prob)
-        if not merged:
-            raise ValueError("a distribution needs at least one support atom")
         total = sum(entry[1] for entry in merged.values())
-        if not math.isclose(total, 1.0, rel_tol=0, abs_tol=_MASS_TOLERANCE):
-            raise ValueError(f"support probabilities sum to {total}, expected 1")
         entries = sorted(merged.values(), key=lambda e: (-e[1], e[0].order))
         probabilities = np.array([e[1] for e in entries]) / total
         rows = np.array([e[2] for e in entries], dtype=float)
@@ -189,15 +183,22 @@ class FairDistribution:
         )
 
 
+def _check_mass(probabilities: Sequence[float]) -> None:
+    """Refuse support probabilities unless each is at least zero and they
+    sum to one within ``_MASS_TOLERANCE`` (so each is also finite)."""
+    for k, prob in enumerate(probabilities):
+        if not prob >= 0:
+            raise ValueError(f"support atom {k} has probability {prob}, expected >= 0")
+    total = sum(probabilities)
+    if not math.isclose(total, 1.0, rel_tol=0, abs_tol=_MASS_TOLERANCE):
+        raise ValueError(f"support probabilities sum to {total}, expected 1")
+
+
 def _validated_inputs(
     instance: Instance, constraints: ConstraintSet, value_model: ValueModel
 ) -> None:
     if value_model.n != instance.n:
         raise ValueError("value model does not match the instance size")
-    if not constraints.upper_only:
-        raise ValueError(
-            "the solver needs upper-only constraints; convert with to_upper_only"
-        )
     if not is_feasible(instance, constraints):
         raise InfeasibleConstraints("no valid ranking satisfies the bounds")
 
@@ -329,10 +330,11 @@ def solve_maxmin(
     """Compute an epsilon-accurate maxmin-fair distribution over valid
     rankings.
 
-    Constraints must be upper-only and feasible.  The result's sorted
-    expected-satisfaction vector matches the lexicographic optimum to
-    within ``config.epsilon`` per entry, and the run is deterministic for
-    fixed inputs and configuration.  The support is Wolfe's final active
+    Constraints must be feasible; lower bounds over one or two groups are
+    accepted as given, and over three or more groups raise ``ValueError``.
+    The result's sorted expected-satisfaction vector matches the
+    lexicographic optimum to within ``config.epsilon`` per entry, and the
+    run is deterministic for fixed inputs and configuration.  The support is Wolfe's final active
     set as it stands: at most ``n`` rankings, each with probability above
     ``1e-12``; no atom is dropped or reweighted after the certificate.
 

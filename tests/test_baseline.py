@@ -42,9 +42,10 @@ def test_vacuous_constraints_give_merit_order(eight):
     assert r == merit_ranking(eight)
 
 
-def test_baseline_rejects_lower_bounds(eight, eight_lower):
-    with pytest.raises(ValueError):
-        deterministic_baseline(eight, eight_lower)
+def test_baseline_accepts_lower_bounds_as_given(eight, eight_lower, eight_upper):
+    r = deterministic_baseline(eight, eight_lower)
+    assert r == deterministic_baseline(eight, eight_upper)
+    assert is_valid(r, eight, eight_lower)
 
 
 def test_baseline_propagates_infeasibility(eight):

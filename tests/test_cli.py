@@ -252,6 +252,26 @@ def test_sample_rejects_an_atom_that_breaks_the_rule(eight_csv, tmp_path, capsys
              "--value-fn", "top-k"])
 
 
+def test_sample_checks_the_stored_mass_without_input(tmp_path, capsys):
+    """Without ``--input`` the stored probabilities still have to be
+    nonnegative and sum to one."""
+    ranking = ["a", "b", "c"]
+    files = {
+        "half.json": ([0.5], "sum to 0.5"),
+        "negative.json": ([1.3, -0.3], "support atom 1 has probability -0.3"),
+    }
+    for name, (probabilities, message) in files.items():
+        path = tmp_path / name
+        path.write_text(json.dumps({
+            "support": [{"probability": p, "ranking": ranking} for p in probabilities]
+        }))
+        code, payload = run_json(capsys, [
+            "sample", "--distribution", str(path), "--seed", "1",
+        ])
+        assert code == 2
+        assert message in payload["error"]["message"]
+
+
 def test_decompose_command(eight_csv, capsys):
     code, payload = run_json(capsys, [
         "decompose", "--input", eight_csv, "--rule", "floor-balanced",

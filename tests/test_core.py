@@ -9,21 +9,27 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 import hypothesis.strategies as st
 
 from fairrank import (
     ConstraintSet,
+    Individual,
     InfeasibleConstraints,
     Instance,
     Ranking,
     ValueModel,
+    best_response,
     build_rule_constraints,
     ceil_alpha_constraints,
+    deterministic_baseline,
+    enumerate_valid_rankings,
+    fair_decomposition,
     floor_balanced_constraints,
     is_feasible,
     is_valid,
     merit_ranking,
+    solve_maxmin,
     to_upper_only,
 )
 
@@ -160,8 +166,19 @@ def test_conversion_rejects_three_group_lowers():
     lower = np.zeros((3, 3), dtype=int)
     lower[0, 2] = 1
     cons = ConstraintSet(ConstraintSet.vacuous(inst).upper_array(), lower)
-    with pytest.raises(ValueError):
-        to_upper_only(cons, inst)
+    assert cons.release is None
+    model = ValueModel.position_diff(inst)
+    entry_points = [
+        lambda: to_upper_only(cons, inst),
+        lambda: is_feasible(inst, cons),
+        lambda: best_response(inst, cons, model, [1.0, 1.0, 1.0]),
+        lambda: deterministic_baseline(inst, cons),
+        lambda: solve_maxmin(inst, cons, model),
+        lambda: fair_decomposition(inst, cons, model),
+    ]
+    for call in entry_points:
+        with pytest.raises(ValueError, match="three or more groups cannot"):
+            call()
 
 
 def test_conversion_drops_single_group_lowers():
@@ -270,6 +287,51 @@ def test_vectorized_repair_matches_the_loops():
         rows = rng.integers(-3, n + 4, size=(t, n))
         assert np.array_equal(_normalize_upper(rows, n), normalize_upper_loops(rows, n))
         assert np.array_equal(_normalize_lower(rows, n), normalize_lower_loops(rows, n))
+
+
+@st.composite
+def lower_bounded_sets(draw):
+    """A one- or two-group roster of n <= 7 with raw upper and lower tables,
+    or with a ``ceil-alpha`` or ``floor-balanced`` rule's bounds."""
+    n = draw(st.integers(1, 7))
+    two = n > 1 and draw(st.integers(0, 3)) > 0
+    split = draw(st.integers(1, n - 1)) if two else n
+    groups = draw(st.permutations([0] * split + [1] * (n - split)))
+    scores = draw(st.lists(st.sampled_from([0.1, 0.4, 0.7, 1.0]), min_size=n, max_size=n))
+    inst = Instance(Individual(f"u{i}", g, s) for i, (g, s) in enumerate(zip(groups, scores)))
+    kind = draw(st.sampled_from(["tables", "ceil-alpha", "floor-balanced"]))
+    start_k = draw(st.integers(1, 4))
+    alpha = draw(st.sampled_from([0.2, 0.25, 0.3, 0.5, 0.6]))
+    group = draw(st.integers(0, inst.n_groups - 1))
+    t = inst.n_groups
+    upper = [[i + 1 - draw(st.integers(0, 2)) for i in range(n)] for _ in range(t)]
+    lower = [[draw(st.integers(0, (i + 1) // 2 + 1)) for i in range(n)] for _ in range(t)]
+    try:
+        if kind == "ceil-alpha":
+            return inst, ceil_alpha_constraints(inst, alpha, group, start_k)
+        if kind == "floor-balanced" and two:
+            return inst, floor_balanced_constraints(inst, start_k)
+        return inst, ConstraintSet(upper, lower)
+    except InfeasibleConstraints:
+        reject()
+
+
+@given(lower_bounded_sets())
+@settings(max_examples=150, deadline=None)
+def test_lower_bounds_match_their_upper_only_form(data):
+    """A set with one- or two-group floors fills, tests feasibility and
+    admits rankings exactly as its upper-only rewrite does, and
+    ``enumerate_valid_rankings``, which reads the floors directly, is the
+    independent reference."""
+    inst, raw = data
+    converted = to_upper_only(raw, inst)
+    assert converted.upper_only
+    assert raw.release == converted.release
+    feasible = is_feasible(inst, raw)
+    assert feasible == is_feasible(inst, converted)
+    valid = enumerate_valid_rankings(inst, raw)
+    assert valid == enumerate_valid_rankings(inst, converted)
+    assert feasible == bool(valid)
 
 
 def test_release_is_the_first_admitting_position():

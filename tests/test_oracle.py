@@ -13,9 +13,12 @@ import hypothesis.strategies as st
 from fairrank import (
     ConstraintSet,
     InfeasibleConstraints,
+    Instance,
     ValueModel,
     best_response,
+    deterministic_baseline,
     enumerate_valid_rankings,
+    max_total_value,
     merit_ranking,
     weight_order_key,
 )
@@ -113,9 +116,31 @@ def test_oracle_rejects_negative_weights(eight, eight_upper, eight_model):
         best_response(eight, eight_upper, eight_model, [-1.0] + [0.0] * 7)
 
 
-def test_oracle_rejects_lower_bounds(eight, eight_lower, eight_model):
-    with pytest.raises(ValueError):
-        best_response(eight, eight_lower, eight_model, np.ones(8))
+def test_oracle_accepts_lower_bounds_as_given(
+    eight, eight_lower, eight_upper, eight_model
+):
+    """The floor-balanced set and its upper-only form give the same answer
+    for every weight vector."""
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        w = random_weights(rng, 8)
+        raw = best_response(eight, eight_lower, eight_model, w)
+        converted = best_response(eight, eight_upper, eight_model, w)
+        assert raw.ranking.order == converted.ranking.order
+        assert raw.values.tolist() == converted.values.tolist()
+
+
+def test_fill_refuses_constraints_of_another_shape(eight, eight_model):
+    """The oracle, the baseline and the exact tools built on the oracle
+    check the constraint set against the instance before filling."""
+    seven = Instance.from_rows([(f"u{i}", "MF"[i % 2], 1.0 - i / 10) for i in range(7)])
+    for cons in (ConstraintSet.vacuous(seven), ConstraintSet([[1] * 8])):
+        with pytest.raises(ValueError, match="shape"):
+            best_response(eight, cons, eight_model, np.ones(8))
+        with pytest.raises(ValueError, match="shape"):
+            deterministic_baseline(eight, cons)
+        with pytest.raises(ValueError, match="shape"):
+            max_total_value(eight, cons, eight_model, [0])
 
 
 def test_oracle_raises_when_caps_block_every_fill(eight, eight_model):

@@ -328,9 +328,22 @@ def test_single_individual_instance():
     assert dist.lambda_phases[0] == pytest.approx(0.0, abs=0.01)
 
 
-def test_solver_input_validation(eight, eight_lower, eight_upper, eight_model):
-    with pytest.raises(ValueError):
-        solve_maxmin(eight, eight_lower, eight_model)
+def test_solver_accepts_lower_bounds_as_given(
+    eight, eight_lower, eight_upper, eight_model
+):
+    """Solving the floor-balanced set takes the same path as solving its
+    upper-only form: same atoms, expected vector and oracle calls."""
+    for model in (eight_model, ValueModel.log_ratio(eight)):
+        raw = solve_maxmin(eight, eight_lower, model)
+        converted = solve_maxmin(eight, eight_upper, model)
+        assert [(a.ranking.order, a.probability) for a in raw.atoms] == [
+            (a.ranking.order, a.probability) for a in converted.atoms
+        ]
+        assert raw.expected.tolist() == converted.expected.tolist()
+        assert raw.oracle_calls == converted.oracle_calls
+
+
+def test_solver_input_validation(eight, eight_upper, eight_model):
     blocked = ConstraintSet(np.zeros((2, 8), dtype=int))
     with pytest.raises(InfeasibleConstraints):
         solve_maxmin(eight, blocked, eight_model)
