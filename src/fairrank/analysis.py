@@ -1,11 +1,13 @@
 """Exact analysis tools and fairness metrics.
 
-The exponential-time routines here are desk-scale oracles: full enumeration
-of valid rankings, the best achievable total value of a subset, the exact
-ceiling on the worst expected satisfaction, and the block decomposition
-showing which individuals are pinned at which satisfaction level.  They are
-meant for small instances (guards enforce this) and for validating the
-polynomial-time solver; the metric helpers at the bottom scale to any size.
+The exact tools are the independent ground truth the solver is checked
+against: enumeration of every valid ranking, the best achievable total
+value of a set, the exact ceiling on the worst expected satisfaction, and
+the block decomposition showing which individuals are pinned at which
+satisfaction level.  Enumeration is limited to ``n <= 10``; the
+decomposition scans per-group count vectors, so its guard bounds
+``prod(|group k| + 1)`` rather than ``n``.  The metric helpers at the
+bottom scale to any size.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, product
+from operator import add
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,7 +42,7 @@ __all__ = [
 ]
 
 ENUMERATION_GUARD = 10
-SUBSET_SCAN_GUARD = 12
+COUNT_SCAN_GUARD = 4096
 _FLOAT_TIE_TOL = 1e-9
 
 
@@ -88,33 +92,6 @@ def enumerate_valid_rankings(
     return out
 
 
-def _indicator_best_total(
-    instance: Instance,
-    constraints: ConstraintSet,
-    value_model: ValueModel,
-    mask: int,
-    cache: dict[int, float] | None = None,
-) -> float:
-    """Best achievable total value of the individuals in ``mask``.
-
-    Running the greedy oracle with 0/1 weights places the masked
-    individuals as favourably as the caps allow (ties resolved by the
-    global merit tie-break), so the masked total of the returned ranking is
-    the exact optimum.  Integer value models keep this exact in floats.
-    """
-    if cache is not None and mask in cache:
-        return cache[mask]
-    n = instance.n
-    weights = np.fromiter(
-        ((mask >> i) & 1 for i in range(n)), dtype=float, count=n
-    )
-    res = best_response(instance, constraints, value_model, weights)
-    total = float(res.values[weights > 0].sum()) if mask else 0.0
-    if cache is not None:
-        cache[mask] = total
-    return total
-
-
 def max_total_value(
     instance: Instance,
     constraints: ConstraintSet,
@@ -122,82 +99,30 @@ def max_total_value(
     members: Iterable[int],
 ) -> float:
     """Largest total value the given individuals can attain simultaneously
-    in any valid ranking."""
-    mask = 0
+    in any valid ranking: their total in the greedy oracle's ranking under
+    0/1 weights, exact in floats for integer value models."""
+    weights = np.zeros(instance.n)
     for i in members:
         i = int(i)
         if not 0 <= i < instance.n:
             raise ValueError(f"individual index {i} out of range")
-        mask |= 1 << i
-    return _indicator_best_total(instance, constraints, value_model, mask)
-
-
-def _ratio(total: float, size: int, integer: bool) -> Fraction | float:
-    if integer:
-        return Fraction(int(round(total)), size)
-    return total / size
-
-
-def _scan_min_ratio(
-    instance: Instance,
-    constraints: ConstraintSet,
-    value_model: ValueModel,
-    base_mask: int,
-    base_total: float,
-    rest_mask: int,
-    cache: dict[int, float],
-) -> tuple[Fraction | float, int]:
-    """Minimize the marginal per-member gain over nonempty subsets of
-    ``rest_mask``, returning the minimum and the union of its minimizers."""
-    integer = value_model.integer_valued
-    best: Fraction | float | None = None
-    union = 0
-    sub = rest_mask
-    while sub:
-        size = sub.bit_count()
-        gain = _indicator_best_total(
-            instance, constraints, value_model, base_mask | sub, cache
-        )
-        ratio = _ratio(gain - base_total, size, integer)
-        if best is None:
-            best, union = ratio, sub
-        elif integer:
-            if ratio < best:
-                best, union = ratio, sub
-            elif ratio == best:
-                union |= sub
-        else:
-            tol = _FLOAT_TIE_TOL * max(1.0, abs(float(best)))
-            if ratio < float(best) - tol:
-                best, union = ratio, sub
-            elif ratio <= float(best) + tol:
-                union |= sub
-        sub = (sub - 1) & rest_mask
-    assert best is not None
-    return best, union
+        weights[i] = 1.0
+    res = best_response(instance, constraints, value_model, weights)
+    return float(res.values[weights > 0].sum())
 
 
 def min_satisfaction_bound(
     instance: Instance, constraints: ConstraintSet, value_model: ValueModel
 ) -> float:
     """Exact ceiling on the worst expected satisfaction any distribution
-    over valid rankings can guarantee.
+    over valid rankings can guarantee: the level of the first block of
+    :func:`fair_decomposition`, under the same guard.
 
     Whatever the distribution, the members of a set X share at most the
     best achievable total of X, so someone in X sits at or below that
-    total divided by |X|; the binding set gives the tight bound.  Guarded
-    to ``n <= 12``.
+    total divided by |X|; the binding set gives the tight bound.
     """
-    n = instance.n
-    if n > SUBSET_SCAN_GUARD:
-        raise InstanceTooLarge(
-            f"the subset scan is limited to n <= {SUBSET_SCAN_GUARD}, got n = {n}"
-        )
-    cache: dict[int, float] = {}
-    best, _ = _scan_min_ratio(
-        instance, constraints, value_model, 0, 0.0, (1 << n) - 1, cache
-    )
-    return float(best)
+    return fair_decomposition(instance, constraints, value_model).blocks[0][1]
 
 
 @dataclass(frozen=True)
@@ -223,33 +148,77 @@ def fair_decomposition(
     """Exact block decomposition by repeated minimization of the marginal
     per-member gain.
 
-    Starting from the empty set, each step finds all subsets of the
-    remaining individuals minimizing ``(gain in best achievable total) /
-    |subset|`` and freezes their union as the next block; the minimum is
-    that block's satisfaction level.  Levels are strictly increasing and
-    the per-block totals are conserved.  Guarded to ``n <= 12``.
+    Starting from the empty set, each step finds all sets of the remaining
+    individuals minimizing ``(gain in best achievable total) / |set|`` and
+    freezes their union as the next block; the minimum is that block's
+    satisfaction level.  Levels are strictly increasing and the per-block
+    totals are conserved.
+
+    Every value is ``position_scores[pos] - merit_scores[u]``, and swapping
+    two members of one group keeps a ranking valid, so the best total of a
+    set S is ``F(c) - merit total of S``, where ``c`` counts S's members per
+    group and ``F(c)`` is the best position-score total of such a set.  For
+    fixed counts the minimizers take each group's highest merit scores, so
+    each step scans count vectors instead of subsets, with ``F`` evaluated
+    once per vector by the greedy oracle.  Guarded to
+    ``prod(|group k| + 1) <= 4096`` count vectors.
     """
     n = instance.n
-    if n > SUBSET_SCAN_GUARD:
+    vectors = math.prod(int(size) + 1 for size in instance.group_sizes)
+    if vectors > COUNT_SCAN_GUARD:
         raise InstanceTooLarge(
-            f"the subset scan is limited to n <= {SUBSET_SCAN_GUARD}, got n = {n}"
+            f"the count-vector scan is limited to {COUNT_SCAN_GUARD} group "
+            f"count vectors, got {vectors}"
         )
-    cache: dict[int, float] = {}
-    full = (1 << n) - 1
-    s_mask = 0
-    s_total = 0.0
+    f = value_model.position_scores
+    g = value_model.merit_scores
+    integer = value_model.integer_valued
+    # Each group's members by descending merit score, merit order breaking ties.
+    by_group: list[list[int]] = [[] for _ in range(instance.n_groups)]
+    for u in sorted(range(n), key=lambda u: (-g[u], instance.merit_position[u])):
+        by_group[instance.group_of[u]].append(u)
+    memo: dict[tuple[int, ...], float] = {}
+
+    def position_total(counts: tuple[int, ...]) -> float:
+        if counts not in memo:
+            weights = np.zeros(n)
+            for members, c in zip(by_group, counts):
+                weights[members[:c]] = 1.0
+            res = best_response(instance, constraints, value_model, weights)
+            position = res.ranking.position
+            memo[counts] = sum(f[position[u] - 1] for u in np.flatnonzero(weights))
+        return memo[counts]
+
+    frozen = [0] * instance.n_groups
     blocks: list[tuple[tuple[int, ...], float]] = []
     targets = np.empty(n, dtype=float)
-    while s_mask != full:
-        best, union = _scan_min_ratio(
-            instance, constraints, value_model, s_mask, s_total, full ^ s_mask, cache
-        )
-        members = tuple(i for i in range(n) if (union >> i) & 1)
-        level = float(best)
-        blocks.append((members, level))
-        targets[list(members)] = level
-        s_mask |= union
-        s_total = _indicator_best_total(instance, constraints, value_model, s_mask, cache)
+    while sum(frozen) < n:
+        rest = [members[c:] for members, c in zip(by_group, frozen)]
+        base = position_total(tuple(frozen))
+        merit_totals = [list(accumulate((g[u] for u in m), initial=0.0)) for m in rest]
+        best, tol, ties = None, 0, []
+        for d in product(*(range(len(m) + 1) for m in rest)):
+            size = sum(d)
+            if not size:
+                continue
+            gain = position_total(tuple(map(add, frozen, d))) - base - sum(
+                totals[c] for totals, c in zip(merit_totals, d)
+            )
+            ratio = Fraction(round(gain), size) if integer else gain / size
+            if best is None or ratio < best - tol:
+                best, ties = ratio, [d]
+                tol = 0 if integer else _FLOAT_TIE_TOL * max(1.0, abs(best))
+            elif ratio <= best + tol:
+                ties.append(d)
+        # The minimizing sets are closed under union and under swapping
+        # members of one group tied in merit score, so the largest is a
+        # scanned prefix that already holds every such tie, and the union
+        # of the minimizing prefixes takes the largest count per group.
+        taken = [max(column) for column in zip(*ties)]
+        block = tuple(sorted(u for m, c in zip(rest, taken) for u in m[:c]))
+        blocks.append((block, float(best)))
+        targets[list(block)] = float(best)
+        frozen = list(map(add, frozen, taken))
     return FairDecomposition(tuple(blocks), targets)
 
 
@@ -268,8 +237,6 @@ def gini(values: Sequence[float]) -> float:
     x = np.sort((v - lo) / (hi - lo))
     n = x.size
     total = float(x.sum())
-    if total <= 0.0:
-        return 0.0
     ranks = np.arange(1, n + 1)
     return float(2.0 * (ranks @ x) / (n * total) - (n + 1) / n)
 

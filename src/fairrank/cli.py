@@ -9,7 +9,8 @@ Subcommands::
                 constraints when ``--input`` is given
     metrics     re-evaluate a stored distribution against its instance and
                 constraints
-    decompose   exact satisfaction-block decomposition (small instances)
+    decompose   exact satisfaction-block decomposition (at most 4096 group
+                count vectors)
     experiment  compare fair and deterministic rankings over an alpha grid
 
 Instances are CSV files with header ``id,group,score``; groups are indexed
@@ -202,6 +203,37 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _read_distribution(path: str) -> dict:
+    """A stored distribution, refused with ``ValueError`` unless its JSON
+    has the shape and types :func:`distribution_to_dict` writes."""
+    data = json.loads(_read(path))
+    number = (int, float)
+    if not (isinstance(data, dict) and isinstance(data.get("support"), list)):
+        raise ValueError("a stored distribution is a JSON object with a support list")
+    for k, entry in enumerate(data["support"]):
+        if not (
+            isinstance(entry, dict)
+            and type(entry.get("probability")) in number
+            and isinstance(entry.get("ranking"), list)
+            and all(isinstance(u, str) for u in entry["ranking"])
+        ):
+            raise ValueError(
+                f"support atom {k} needs a numeric probability and a ranking list of ids"
+            )
+    phases = data.get("lambda_phases", [])
+    if not (
+        isinstance(phases, list)
+        and all(type(x) in number for x in phases)
+        and type(data.get("oracle_calls", 0)) is int
+        and type(data.get("epsilon")) in (*number, type(None))
+    ):
+        raise ValueError(
+            "lambda_phases must list numbers, oracle_calls must be an integer "
+            "and epsilon a number or null"
+        )
+    return data
+
+
 def _emit(payload: dict, output: str | None) -> None:
     text = json.dumps(payload, indent=2)
     if output:
@@ -266,7 +298,7 @@ def _cmd_baseline(args) -> dict:
 
 
 def _cmd_sample(args) -> dict:
-    data = json.loads(_read(args.distribution))
+    data = _read_distribution(args.distribution)
     if args.input:
         instance = _instance_from_args(args)
         constraints = _constraints_from_args(args, instance)
@@ -289,7 +321,7 @@ def _cmd_sample(args) -> dict:
 def _cmd_metrics(args) -> dict:
     instance = _instance_from_args(args)
     value_model = _value_model(instance, args.value_fn, args.k)
-    data = json.loads(_read(args.distribution))
+    data = _read_distribution(args.distribution)
     constraints = _constraints_from_args(args, instance)
     distribution = distribution_from_dict(instance, value_model, data, constraints)
     payload = analysis.metrics_for_distribution(instance, distribution).to_dict()

@@ -339,10 +339,7 @@ class ConstraintSet:
     rewrite, and ``release`` is ``None``.
     """
 
-    __slots__ = (
-        "upper", "lower", "release", "upper_only", "n", "n_groups",
-        "_urows", "_lrows", "_caps",
-    )
+    __slots__ = ("upper", "lower", "release", "upper_only", "n", "n_groups", "_caps")
 
     def __init__(
         self,
@@ -369,11 +366,8 @@ class ConstraintSet:
                 f"positions but is capped at {urows[k, i]}"
             )
         urows.setflags(write=False)
-        lrows.setflags(write=False)
         self.n = n
         self.n_groups = t
-        self._urows = urows
-        self._lrows = lrows
         self.upper_only = not lrows.any()
         self.upper = tuple(tuple(row) for row in urows.tolist())
         self.lower = tuple(tuple(row) for row in lrows.tolist())
@@ -398,12 +392,6 @@ class ConstraintSet:
             for size in instance.group_sizes
         ]
         return cls(upper)
-
-    def upper_array(self) -> np.ndarray:
-        return self._urows
-
-    def lower_array(self) -> np.ndarray:
-        return self._lrows
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -9,6 +9,7 @@ has hand-checkable golden values (baseline minimum -2, maxmin floor
 
 from __future__ import annotations
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -90,7 +91,7 @@ def random_instance(rng, n=None, groups=2, max_n=7):
 def random_upper_constraints(rng, instance):
     """Feasible upper-only bounds made by tightening from vacuous."""
     n = instance.n
-    uppers = ConstraintSet.vacuous(instance).upper_array().copy()
+    uppers = np.array(ConstraintSet.vacuous(instance).upper)
     for _ in range(int(rng.integers(0, 2 * n))):
         g = int(rng.integers(0, instance.n_groups))
         i = int(rng.integers(0, n))
@@ -98,7 +99,7 @@ def random_upper_constraints(rng, instance):
         trial[g, i] = max(0, trial[g, i] - 1)
         candidate = ConstraintSet(trial)
         if is_feasible(instance, candidate):
-            uppers = candidate.upper_array().copy()
+            uppers = np.array(candidate.upper)
     return ConstraintSet(uppers)
 
 
@@ -127,3 +128,48 @@ def random_weights(rng, n):
     w = np.zeros(n)
     w[rng.integers(0, n)] = 1.0
     return w
+
+
+@st.composite
+def ranking_cases(draw, min_n=1, max_n=7, floors=False):
+    """n in ``min_n..max_n`` with 1-3 groups all present, scores that may
+    all be equal, upper caps that a random witness ranking meets plus 0-2
+    slack per prefix, and one of the four value models (top-k and custom
+    bring ties in the position and merit scores).  With ``floors``, one-
+    and two-group rosters may also get floors that the witness meets less
+    0-2 slack per prefix."""
+    n = draw(st.integers(min_n, max_n))
+    t = draw(st.integers(1, min(3, n)))
+    rest = draw(st.lists(st.integers(0, t - 1), min_size=n - t, max_size=n - t))
+    groups = draw(st.permutations(list(range(t)) + rest))
+    if draw(st.booleans()):
+        scores = [0.5] * n
+    else:
+        scores = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+        scores = [s / 10 for s in scores]
+    inst = Instance.from_rows(
+        (f"u{i + 1}", "ABC"[g], s) for i, (g, s) in enumerate(zip(groups, scores))
+    )
+    witness = draw(st.permutations(range(n)))
+    counts = np.zeros((t, n), dtype=int)
+    for i, u in enumerate(witness):
+        counts[:, i] = counts[:, i - 1] if i else 0
+        counts[inst.group_of[u], i] += 1
+    slack = draw(st.lists(st.integers(0, 2), min_size=t * n, max_size=t * n))
+    lower = None
+    if floors and t <= 2 and draw(st.booleans()):
+        less = draw(st.lists(st.integers(0, 2), min_size=t * n, max_size=t * n))
+        lower = np.maximum(counts - np.reshape(less, (t, n)), 0)
+    cons = ConstraintSet(counts + np.reshape(slack, (t, n)), lower)
+    kind = draw(st.sampled_from(["position-diff", "log-ratio", "top-k", "custom"]))
+    if kind == "position-diff":
+        model = ValueModel.position_diff(inst)
+    elif kind == "log-ratio":
+        model = ValueModel.log_ratio(inst)
+    elif kind == "top-k":
+        model = ValueModel.top_k_selection(inst, draw(st.integers(1, n)))
+    else:
+        f = draw(st.lists(st.integers(0, 2 * n), min_size=n, max_size=n))
+        f.sort(reverse=True)
+        model = ValueModel.custom(f, [f[p - 1] for p in inst.merit_position])
+    return inst, cons, model

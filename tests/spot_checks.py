@@ -4,20 +4,18 @@ versions of code the package replaced with faster equivalents.
 These check the theory on small instances (the Monge exchange property of
 the weighted score matrix, and diminishing returns of the
 best-achievable-total set function), and keep the plain loops that the
-vectorized bound repair and the release-position greedy fill must
-reproduce; they are test helpers, not part of the package's API.
+vectorized bound repair, the release-position greedy fill and the
+count-vector decomposition must reproduce; they are test helpers, not part
+of the package's API.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
-from fairrank import InfeasibleConstraints, Ranking, weight_order_key
-from fairrank.analysis import (
-    SUBSET_SCAN_GUARD,
-    _FLOAT_TIE_TOL,
-    _indicator_best_total,
-)
+from fairrank import InfeasibleConstraints, Ranking, best_response, weight_order_key
+from fairrank.analysis import _FLOAT_TIE_TOL
 from fairrank.core import to_upper_only
-from fairrank.errors import InstanceTooLarge
 
 
 def has_monge_property(instance, value_model, weights, tolerance=1e-9):
@@ -41,30 +39,75 @@ def has_monge_property(instance, value_model, weights, tolerance=1e-9):
     return True
 
 
+def indicator_best_total(instance, constraints, value_model, mask, cache):
+    """Best achievable total value of the individuals in the bitmask
+    ``mask``: the masked total of the greedy oracle's ranking under 0/1
+    weights, memoized in the dict ``cache``."""
+    if mask not in cache:
+        n = instance.n
+        weights = np.fromiter(((mask >> i) & 1 for i in range(n)), dtype=float, count=n)
+        res = best_response(instance, constraints, value_model, weights)
+        cache[mask] = float(res.values[weights > 0].sum())
+    return cache[mask]
+
+
+def subset_scan_decomposition(instance, constraints, value_model):
+    """Block decomposition by scanning every subset of the remaining
+    individuals: ``fair_decomposition``'s blocks and levels, found in
+    ``2^n`` oracle calls without the count-vector shortcut."""
+    n = instance.n
+    integer = value_model.integer_valued
+    cache = {}
+    full = (1 << n) - 1
+    frozen = 0
+    frozen_total = 0.0
+    blocks = []
+    while frozen != full:
+        rest = full ^ frozen
+        best = None
+        tol = 0
+        union = 0
+        sub = rest
+        while sub:
+            gain = indicator_best_total(
+                instance, constraints, value_model, frozen | sub, cache
+            ) - frozen_total
+            size = sub.bit_count()
+            ratio = Fraction(round(gain), size) if integer else gain / size
+            if best is None or ratio < best - tol:
+                best, union = ratio, sub
+                tol = 0 if integer else _FLOAT_TIE_TOL * max(1.0, abs(best))
+            elif ratio <= best + tol:
+                union |= sub
+            sub = (sub - 1) & rest
+        blocks.append((tuple(i for i in range(n) if (union >> i) & 1), float(best)))
+        frozen |= union
+        frozen_total = indicator_best_total(
+            instance, constraints, value_model, frozen, cache
+        )
+    return blocks
+
+
 def check_submodularity(instance, constraints, value_model, trials=200, rng_seed=0):
     """Spot-check diminishing returns of the best-achievable-total set
     function on random nested triples ``X subset Y``, ``Z`` disjoint from
     ``Y``: the marginal gain of ``Z`` on ``X`` must cover its gain on
     ``Y``."""
     n = instance.n
-    if n > SUBSET_SCAN_GUARD:
-        raise InstanceTooLarge(
-            f"the subset scan is limited to n <= {SUBSET_SCAN_GUARD}, got n = {n}"
-        )
     uc = to_upper_only(constraints, instance)
-    cache: dict[int, float] = {}
+    cache = {}
     rng = np.random.default_rng(rng_seed)
     full = (1 << n) - 1
     for _ in range(trials):
         y = int(rng.integers(0, full + 1))
         x = int(rng.integers(0, full + 1)) & y
         z = int(rng.integers(0, full + 1)) & (full ^ y)
-        gain_x = _indicator_best_total(
+        gain_x = indicator_best_total(
             instance, uc, value_model, x | z, cache
-        ) - _indicator_best_total(instance, uc, value_model, x, cache)
-        gain_y = _indicator_best_total(
+        ) - indicator_best_total(instance, uc, value_model, x, cache)
+        gain_y = indicator_best_total(
             instance, uc, value_model, y | z, cache
-        ) - _indicator_best_total(instance, uc, value_model, y, cache)
+        ) - indicator_best_total(instance, uc, value_model, y, cache)
         if gain_x < gain_y - _FLOAT_TIE_TOL:
             return False
     return True

@@ -1,8 +1,15 @@
 """Exact small-instance analysis: enumeration, bounds, decomposition,
 and the fairness metrics."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+
+import fairrank
+import fairrank.cli
 
 from fairrank import (
     ConstraintSet,
@@ -24,8 +31,10 @@ from fairrank import (
     FairDistribution,
 )
 
-from conftest import random_instance, random_upper_constraints
-from spot_checks import check_submodularity
+from conftest import random_instance, random_upper_constraints, ranking_cases
+from spot_checks import check_submodularity, subset_scan_decomposition
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 MALES = ("u1", "u2", "u4", "u5")
 
@@ -88,14 +97,28 @@ def test_min_satisfaction_bound_vacuous(eight, eight_model):
     assert min_satisfaction_bound(eight, cons, eight_model) == 0.0
 
 
-def test_subset_scan_guard():
-    inst = _flat_instance(13)
+def _two_group_instance(size: int) -> Instance:
+    return Instance.from_rows(
+        (f"x{i:03d}", "ab"[i % 2], 1.0 - i / (4 * size)) for i in range(2 * size)
+    )
+
+
+def test_count_scan_guard():
+    """Two groups of 64 have 65 * 65 = 4225 count vectors, past the guard
+    of 4096; one group of 13, once past the old n <= 12 subset scan, now
+    decomposes."""
+    inst = _two_group_instance(64)
     model = ValueModel.position_diff(inst)
     cons = ConstraintSet.vacuous(inst)
-    with pytest.raises(InstanceTooLarge):
+    with pytest.raises(InstanceTooLarge, match="4225"):
         min_satisfaction_bound(inst, cons, model)
-    with pytest.raises(InstanceTooLarge):
+    with pytest.raises(InstanceTooLarge, match="4225"):
         fair_decomposition(inst, cons, model)
+    flat = _flat_instance(13)
+    dec = fair_decomposition(
+        flat, ConstraintSet.vacuous(flat), ValueModel.position_diff(flat)
+    )
+    assert dec.blocks == ((tuple(range(13)), 0.0),)
 
 
 def test_decomposition_golden(eight, eight_lower, eight_model):
@@ -161,6 +184,38 @@ def test_decomposition_lorenz_dominates_mixtures(eight, eight_lower, eight_model
         probs = rng.dirichlet(np.ones(k))
         mixture = probs @ matrix[rows]
         assert lorenz_dominates(dec.targets, mixture, tol=1e-9)
+
+
+@given(ranking_cases(max_n=10, floors=True))
+@settings(max_examples=300, deadline=None)
+def test_decomposition_matches_subset_scan(case):
+    """The count-vector scan finds the blocks that scanning every subset
+    finds, at levels within 1e-12."""
+    inst, cons, model = case
+    blocks = fair_decomposition(inst, cons, model).blocks
+    reference = subset_scan_decomposition(inst, cons, model)
+    assert [members for members, _ in blocks] == [members for members, _ in reference]
+    for (_, level), (_, want) in zip(blocks, reference):
+        assert abs(level - want) <= 1e-12
+
+
+def test_decomposition_matches_ceil_mid_references(monkeypatch):
+    """The four n=40 benchmark rosters, built as the benchmark builds them,
+    decompose to within each case's stored epsilon of its committed
+    reference vector."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracer import NullTracer
+    from workloads import build, ceil_mid_cases
+
+    references = json.loads((PERFBENCH / "reference.json").read_text())
+    cases = {case["reference"]: case for case in ceil_mid_cases(7)}
+    assert sorted(cases) == sorted(references)
+    for name, case in cases.items():
+        b = build(fairrank, fairrank.cli, case, NullTracer())
+        targets = fair_decomposition(b.instance, b.original, b.model).targets
+        want = references[name]
+        gap = np.abs(np.sort(targets) - np.array(want["sorted"])).max()
+        assert gap <= want["epsilon"], name
 
 
 def test_submodularity_running_instance(eight, eight_lower, eight_model):

@@ -272,6 +272,68 @@ def test_sample_checks_the_stored_mass_without_input(tmp_path, capsys):
         assert message in payload["error"]["message"]
 
 
+def test_mistyped_stored_distribution_exits_2(tmp_path, capsys):
+    """A probability of the wrong JSON type, a list where the object
+    belongs, or a mistyped stored field is malformed input to sample and
+    metrics alike: exit 2 with the error JSON, not a traceback."""
+    roster = tmp_path / "abc.csv"
+    roster.write_text("id,group,score\na,M,0.9\nb,F,0.8\nc,M,0.7\n")
+    atom = {"probability": 1.0, "ranking": ["a", "b", "c"]}
+    files = {
+        "null.json": {"support": [dict(atom, probability=None)]},
+        "list.json": [1, 2],
+        "phases.json": {"support": [atom], "lambda_phases": 5},
+        "null_phase.json": {"support": [atom], "lambda_phases": [None]},
+    }
+    for name, data in files.items():
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        for argv in (
+            ["sample", "--distribution", str(path), "--seed", "1"],
+            ["metrics", "--input", str(roster), "--distribution", str(path)],
+        ):
+            code, payload = run_json(capsys, argv)
+            assert code == 2, argv
+            assert payload["error"]["type"] == "ValueError"
+
+
+def test_rule_file_solves_like_the_rule_flags(eight_csv, tmp_path, capsys):
+    cases = [
+        ({"rule": "ceil-alpha", "alpha": 0.3, "protected": "F"},
+         ["--rule", "ceil-alpha", "--alpha", "0.3", "--protected", "F"]),
+        ({"rule": "floor-balanced", "start_k": 4},
+         ["--rule", "floor-balanced", "--start-k", "4"]),
+    ]
+    for spec, flags in cases:
+        path = tmp_path / "rule.json"
+        path.write_text(json.dumps(spec))
+        code, from_file = run_json(capsys, [
+            "solve", "--input", eight_csv, "--constraints", str(path),
+        ])
+        assert code == 0
+        code, from_flags = run_json(capsys, ["solve", "--input", eight_csv, *flags])
+        assert code == 0
+        assert from_file == from_flags
+    # Unlike --rule, a rule file names its protected group.
+    path.write_text(json.dumps({"rule": "ceil-alpha", "alpha": 0.3}))
+    code, payload = run_json(capsys, [
+        "solve", "--input", eight_csv, "--constraints", str(path),
+    ])
+    assert code == 2
+    assert "protected group" in payload["error"]["message"]
+
+
+def test_solve_with_the_top_k_value_function(eight_csv, capsys):
+    code, payload = run_json(capsys, [
+        "solve", "--input", eight_csv, "--rule", "floor-balanced",
+        "--value-fn", "top-k", "--k", "3",
+    ])
+    assert code == 0
+    expected = payload["expected_satisfaction"]
+    assert all(-1.0 <= v <= 1.0 for v in expected.values())
+    assert sum(expected.values()) == pytest.approx(0.0, abs=1e-9)
+
+
 def test_decompose_command(eight_csv, capsys):
     code, payload = run_json(capsys, [
         "decompose", "--input", eight_csv, "--rule", "floor-balanced",
@@ -391,7 +453,9 @@ def test_sample_command_draws_like_the_library(eight_csv, tmp_path, capsys):
 
 
 def test_exit_code_for_size_guard(tmp_path, capsys):
-    rows = "".join(f"x{i:02d},a,{1.0 - i * 0.01}\n" for i in range(13))
+    """Two groups of 64: 65 * 65 = 4225 count vectors, past the 4096 the
+    exact decomposition scans."""
+    rows = "".join(f"x{i:03d},{'ab'[i % 2]},{1.0 - i * 0.005}\n" for i in range(128))
     big = tmp_path / "big.csv"
     big.write_text("id,group,score\n" + rows)
     code, payload = run_json(capsys, ["decompose", "--input", str(big)])

@@ -128,7 +128,7 @@ def test_values_matches_value_pointwise(eight):
 
 def test_floor_balanced_lower_bounds(eight, eight_lower):
     for g in range(2):
-        assert list(eight_lower.lower_array()[g]) == [0, 0, 1, 2, 2, 3, 3, 4]
+        assert list(np.array(eight_lower.lower)[g]) == [0, 0, 1, 2, 2, 3, 3, 4]
     assert not eight_lower.upper_only
 
 
@@ -141,7 +141,7 @@ def test_floor_balanced_needs_two_groups():
 def test_conversion_uppers_golden(eight_upper):
     assert eight_upper.upper_only
     for g in range(2):
-        assert list(eight_upper.upper_array()[g]) == [1, 2, 2, 2, 3, 3, 4, 4]
+        assert list(np.array(eight_upper.upper)[g]) == [1, 2, 2, 2, 3, 3, 4, 4]
 
 
 def test_conversion_preserves_valid_set(eight, eight_lower, eight_upper):
@@ -165,7 +165,7 @@ def test_conversion_rejects_three_group_lowers():
     )
     lower = np.zeros((3, 3), dtype=int)
     lower[0, 2] = 1
-    cons = ConstraintSet(ConstraintSet.vacuous(inst).upper_array(), lower)
+    cons = ConstraintSet(np.array(ConstraintSet.vacuous(inst).upper), lower)
     assert cons.release is None
     model = ValueModel.position_diff(inst)
     entry_points = [
@@ -195,7 +195,7 @@ def test_ceil_alpha_exact_at_rational_boundaries():
     )
     cons = ceil_alpha_constraints(inst, 0.3, "B")
     g = inst.group_index("B")
-    assert list(cons.lower_array()[g]) == [0, 0, 0, 1, 1, 1, 2, 2, 2, 2]
+    assert list(np.array(cons.lower)[g]) == [0, 0, 0, 1, 1, 1, 2, 2, 2, 2]
 
 
 def test_build_rule_constraints_dispatch(eight):
@@ -217,7 +217,7 @@ def test_infeasible_lower_exceeds_upper():
 
 
 def test_is_feasible_counts_group_capacity(eight):
-    uppers = ConstraintSet.vacuous(eight).upper_array().copy()
+    uppers = np.array(ConstraintSet.vacuous(eight).upper)
     uppers[0, :] = 0
     uppers[1, :] = np.minimum(np.arange(1, 9), 4)
     assert not is_feasible(eight, ConstraintSet(uppers))
@@ -249,7 +249,7 @@ def test_normalization_preserves_satisfying_set(data):
     cleaned = ConstraintSet(rows)
     raw = np.array(rows)
     for g in range(inst.n_groups):
-        normalized = cleaned.upper_array()[g]
+        normalized = np.array(cleaned.upper)[g]
         assert all(0 <= normalized[i] <= i + 1 for i in range(n))
         assert all(normalized[i] <= normalized[i + 1] for i in range(n - 1))
         assert all(normalized[i + 1] - normalized[i] <= 1 for i in range(n - 1))

@@ -166,7 +166,7 @@ def test_release_fill_matches_the_position_scan():
     for k in range(600):
         n = int(rng.integers(1, 41))
         inst = random_instance(rng, n=n, groups=int(rng.integers(1, 4)))
-        vacuous = ConstraintSet.vacuous(inst).upper_array()
+        vacuous = np.array(ConstraintSet.vacuous(inst).upper)
         cuts = rng.integers(0, 3, size=vacuous.shape) * (rng.random(vacuous.shape) < 0.1)
         cons = ConstraintSet(vacuous - cuts)
         weights = [

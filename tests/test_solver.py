@@ -3,7 +3,6 @@
 import dataclasses
 import logging
 
-import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +26,7 @@ from fairrank import (
 from fairrank.cli import load_constraints
 from fairrank.solver import _affine_weights, _bordered, _without
 
-from conftest import random_instance, random_upper_constraints
+from conftest import random_instance, random_upper_constraints, ranking_cases
 
 
 def test_config_validation():
@@ -109,52 +108,7 @@ def test_custom_ties_reach_the_optimum_quickly():
     assert dist.oracle_calls < 1000
 
 
-@st.composite
-def solver_cases(draw):
-    """n 1-7 with 1-3 groups all present, scores that may all be equal,
-    upper caps that a random witness ranking meets plus 0-2 slack per
-    prefix, and one of the four value models (top-k and custom bring
-    ties in the position scores)."""
-    n = draw(st.integers(1, 7))
-    t = draw(st.integers(1, min(3, n)))
-    rest = draw(st.lists(st.integers(0, t - 1), min_size=n - t, max_size=n - t))
-    groups = draw(st.permutations(list(range(t)) + rest))
-    if draw(st.booleans()):
-        scores = [0.5] * n
-    else:
-        scores = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
-        scores = [s / 10 for s in scores]
-    inst = Instance.from_rows(
-        (f"u{i + 1}", "ABC"[g], s) for i, (g, s) in enumerate(zip(groups, scores))
-    )
-    witness = draw(st.permutations(range(n)))
-    counts = np.zeros((t, n), dtype=int)
-    for i, u in enumerate(witness):
-        counts[:, i] = counts[:, i - 1] if i else 0
-        counts[inst.group_of[u], i] += 1
-    slack = draw(st.lists(st.integers(0, 2), min_size=t * n, max_size=t * n))
-    cons = ConstraintSet(counts + np.reshape(slack, (t, n)))
-    kind = draw(st.sampled_from(["position-diff", "log-ratio", "top-k", "custom"]))
-    if kind == "position-diff":
-        model = ValueModel.position_diff(inst)
-    elif kind == "log-ratio":
-        model = ValueModel.log_ratio(inst)
-    elif kind == "top-k":
-        model = ValueModel.top_k_selection(inst, draw(st.integers(1, n)))
-    else:
-        f = draw(st.lists(st.integers(0, 2 * n), min_size=n, max_size=n))
-        f.sort(reverse=True)
-        model = ValueModel.custom(f, [f[p - 1] for p in inst.merit_position])
-    return inst, cons, model
-
-
-@given(solver_cases())
-@settings(max_examples=300, deadline=None)
-def test_solve_matches_exact_decomposition(case):
-    """Sorted vector within epsilon of the exact decomposition, and the
-    support is the final active set: at most n atoms, none below the
-    affine-weight dust, mass one."""
-    inst, cons, model = case
+def _matches_exact_decomposition(inst, cons, model):
     dist = solve_maxmin(inst, cons, model, SolverConfig(epsilon=0.01))
     dec = fair_decomposition(inst, cons, model)
     assert np.abs(np.sort(dist.expected) - np.sort(dec.targets)).max() <= 0.01
@@ -163,6 +117,23 @@ def test_solve_matches_exact_decomposition(case):
     assert min(probs) > 1e-12
     assert sum(probs) == pytest.approx(1.0, abs=1e-9)
     assert all(is_valid(r, inst, cons) for r, _ in dist.support)
+
+
+@given(ranking_cases())
+@settings(max_examples=300, deadline=None)
+def test_solve_matches_exact_decomposition(case):
+    """Sorted vector within epsilon of the exact decomposition, and the
+    support is the final active set: at most n atoms, none below the
+    affine-weight dust, mass one."""
+    _matches_exact_decomposition(*case)
+
+
+@given(ranking_cases(min_n=8, max_n=30, floors=True))
+@settings(max_examples=150, deadline=None)
+def test_solve_matches_exact_decomposition_in_the_tens(case):
+    """The same contract at n 8-30, with floors on one- and two-group
+    rosters, against the count-vector decomposition."""
+    _matches_exact_decomposition(*case)
 
 
 def test_degenerate_model_solves_at_once():
@@ -297,6 +268,46 @@ def test_singular_active_set_raises(eight, eight_upper, eight_model, monkeypatch
     with pytest.raises(IterationCapExceeded, match="singular active set"):
         solve_maxmin(eight, eight_upper, eight_model, SolverConfig(epsilon=1e-8))
     assert len(calls) == 2
+
+
+def test_returned_active_vertex_raises(eight, eight_upper, eight_model, monkeypatch):
+    """The second call hands back the first ranking's order with the new
+    values: the gap stays positive, so the solve goes on, but the vertex
+    is already active."""
+    calls = []
+    real = fairrank.solver.best_response
+
+    def repeated(instance, constraints, model, weights):
+        res = real(instance, constraints, model, weights)
+        calls.append(res.ranking)
+        if len(calls) == 2:
+            return fairrank.oracle.OracleResult(calls[0], res.values, res.objective)
+        return res
+
+    monkeypatch.setattr(fairrank.solver, "best_response", repeated)
+    with pytest.raises(
+        IterationCapExceeded,
+        match=r"the oracle returned an active vertex after 2 oracle calls, "
+        r"certified bound \S+ > epsilon 1e-08",
+    ):
+        solve_maxmin(eight, eight_upper, eight_model, SolverConfig(epsilon=1e-8))
+    assert len(calls) == 2
+
+
+def test_unshortened_major_cycle_raises(eight, eight_upper, eight_model, monkeypatch):
+    """Minor cycles that keep the old weights (the new vertex at weight
+    zero) leave ``x`` where it was."""
+
+    def unchanged(points, weights, active, members, inverse):
+        return points, weights, active, inverse, 1
+
+    monkeypatch.setattr(fairrank.solver, "_minor_cycles", unchanged)
+    with pytest.raises(
+        IterationCapExceeded,
+        match=r"a major cycle did not shorten x after 2 oracle calls, "
+        r"certified bound \S+ > epsilon 1e-08",
+    ):
+        solve_maxmin(eight, eight_upper, eight_model, SolverConfig(epsilon=1e-8))
 
 
 def test_solve_logs_one_info_line(eight, eight_upper, eight_model, caplog):
