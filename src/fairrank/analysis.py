@@ -5,25 +5,22 @@ against: enumeration of every valid ranking, the best achievable total
 value of a set, the exact ceiling on the worst expected satisfaction, and
 the block decomposition showing which individuals are pinned at which
 satisfaction level.  Enumeration is limited to ``n <= 10``; the
-decomposition scans per-group count vectors, so its guard bounds
-``prod(|group k| + 1)`` rather than ``n``.  The metric helpers at the
-bottom scale to any size.
+decomposition builds one table over per-group count vectors, so its guard
+bounds the table's ``prod(|group k| + 1)`` cells rather than ``n``.  The
+metric helpers at the bottom scale to any size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from itertools import accumulate, product
-from operator import add
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .core import ConstraintSet, Instance, Ranking, ValueModel
 from .errors import InstanceTooLarge
-from .oracle import best_response
+from .oracle import _greedy_fill, best_response
 
 __all__ = [
     "enumerate_valid_rankings",
@@ -42,7 +39,7 @@ __all__ = [
 ]
 
 ENUMERATION_GUARD = 10
-COUNT_SCAN_GUARD = 4096
+TABLE_CELL_BUDGET = 2**20
 _FLOAT_TIE_TOL = 1e-9
 
 
@@ -101,6 +98,8 @@ def max_total_value(
     """Largest total value the given individuals can attain simultaneously
     in any valid ranking: their total in the greedy oracle's ranking under
     0/1 weights, exact in floats for integer value models."""
+    if value_model.n != instance.n:
+        raise ValueError("value model does not match the instance size")
     weights = np.zeros(instance.n)
     for i in members:
         i = int(i)
@@ -159,66 +158,71 @@ def fair_decomposition(
     set S is ``F(c) - merit total of S``, where ``c`` counts S's members per
     group and ``F(c)`` is the best position-score total of such a set.  For
     fixed counts the minimizers take each group's highest merit scores, so
-    each step scans count vectors instead of subsets, with ``F`` evaluated
-    once per vector by the greedy oracle.  Guarded to
-    ``prod(|group k| + 1) <= 4096`` count vectors.
+    each step scans count vectors instead of subsets.  A set leading the
+    greedy fill's order takes positions that depend only on its counts, so
+    one fill per count vector of the other groups, then the largest group,
+    yields ``F`` along that group's whole axis: ``F`` is one table over the
+    count lattice, each step one array scan of it past the frozen counts.
+    Guarded, before any fill, to ``TABLE_CELL_BUDGET`` table cells.
     """
     n = instance.n
-    vectors = math.prod(int(size) + 1 for size in instance.group_sizes)
-    if vectors > COUNT_SCAN_GUARD:
+    if value_model.n != n:
+        raise ValueError("value model does not match the instance size")
+    shape = tuple(int(size) + 1 for size in instance.group_sizes)
+    cells = math.prod(shape)
+    if cells > TABLE_CELL_BUDGET:
         raise InstanceTooLarge(
-            f"the count-vector scan is limited to {COUNT_SCAN_GUARD} group "
-            f"count vectors, got {vectors}"
+            f"the count-lattice table is limited to {TABLE_CELL_BUDGET} cells, got {cells}"
         )
-    f = value_model.position_scores
-    g = value_model.merit_scores
-    integer = value_model.integer_valued
+    f = np.asarray(value_model.position_scores)
+    g = np.asarray(value_model.merit_scores)
     # Each group's members by descending merit score, merit order breaking ties.
-    by_group: list[list[int]] = [[] for _ in range(instance.n_groups)]
-    for u in sorted(range(n), key=lambda u: (-g[u], instance.merit_position[u])):
+    by_group: list[list[int]] = [[] for _ in shape]
+    for u in np.lexsort((instance.merit_position, -g)).tolist():
         by_group[instance.group_of[u]].append(u)
-    memo: dict[tuple[int, ...], float] = {}
-
-    def position_total(counts: tuple[int, ...]) -> float:
-        if counts not in memo:
-            weights = np.zeros(n)
-            for members, c in zip(by_group, counts):
-                weights[members[:c]] = 1.0
-            res = best_response(instance, constraints, value_model, weights)
-            position = res.ranking.position
-            memo[counts] = sum(f[position[u] - 1] for u in np.flatnonzero(weights))
-        return memo[counts]
-
-    frozen = [0] * instance.n_groups
+    # Row axis: the largest group, so the fewest fills.
+    row = int(np.argmax(shape))
+    table = np.empty(shape)
+    rows = np.moveaxis(table, row, -1)
+    lead = by_group[row]
+    others = by_group[:row] + by_group[row + 1:]
+    for c in np.ndindex(rows.shape[:-1]):
+        chosen = [u for m, k in zip(others, c) for u in m[:k]]
+        rest = [u for m, k in zip(others, c) for u in m[k:]]
+        position = _greedy_fill(instance, constraints, chosen + lead + rest).position
+        scores = f[np.asarray(position) - 1]
+        rows[c] = np.cumsum(np.append(scores[chosen].sum(), scores[lead]))
+    integer = value_model.integer_valued
+    frozen = (0,) * len(shape)
     blocks: list[tuple[tuple[int, ...], float]] = []
     targets = np.empty(n, dtype=float)
     while sum(frozen) < n:
-        rest = [members[c:] for members, c in zip(by_group, frozen)]
-        base = position_total(tuple(frozen))
-        merit_totals = [list(accumulate((g[u] for u in m), initial=0.0)) for m in rest]
-        best, tol, ties = None, 0, []
-        for d in product(*(range(len(m) + 1) for m in rest)):
-            size = sum(d)
-            if not size:
-                continue
-            gain = position_total(tuple(map(add, frozen, d))) - base - sum(
-                totals[c] for totals, c in zip(merit_totals, d)
-            )
-            ratio = Fraction(round(gain), size) if integer else gain / size
-            if best is None or ratio < best - tol:
-                best, ties = ratio, [d]
-                tol = 0 if integer else _FLOAT_TIE_TOL * max(1.0, abs(best))
-            elif ratio <= best + tol:
-                ties.append(d)
+        rest = [m[c:] for m, c in zip(by_group, frozen)]
+        corner = tuple(len(m) + 1 for m in rest)
+        merit = [np.concatenate(([0.0], np.cumsum(g[m]))) for m in rest]
+        gain = table[tuple(slice(c, None) for c in frozen)] - table[frozen]
+        # Flat index 0, the empty set at the frozen corner, is left out.
+        gain = (gain - sum(np.ix_(*merit))).ravel()[1:]
+        size = sum(np.ix_(*map(np.arange, corner))).ravel()[1:]
+        ratio = gain / size
+        best = int(ratio.argmin())
+        if integer:
+            # Division rounds monotonically, so while |gain| * n < 2**52 the
+            # argmin is an exact minimizer; cross-multiplying finds every tie.
+            ties = gain * size[best] == gain[best] * size
+        else:
+            ties = ratio <= ratio[best] + _FLOAT_TIE_TOL * max(1.0, abs(ratio[best]))
         # The minimizing sets are closed under union and under swapping
         # members of one group tied in merit score, so the largest is a
         # scanned prefix that already holds every such tie, and the union
         # of the minimizing prefixes takes the largest count per group.
-        taken = [max(column) for column in zip(*ties)]
-        block = tuple(sorted(u for m, c in zip(rest, taken) for u in m[:c]))
-        blocks.append((block, float(best)))
-        targets[list(block)] = float(best)
-        frozen = list(map(add, frozen, taken))
+        tied = np.unravel_index(np.flatnonzero(ties) + 1, corner)
+        taken = [int(axis.max()) for axis in tied]
+        block = tuple(sorted(u for m, d in zip(rest, taken) for u in m[:d]))
+        level = float(ratio[best])
+        blocks.append((block, level))
+        targets[list(block)] = level
+        frozen = tuple(c + d for c, d in zip(frozen, taken))
     return FairDecomposition(tuple(blocks), targets)
 
 
@@ -287,13 +291,7 @@ class MetricsReport:
     dcg_std: float
 
     def to_dict(self) -> dict[str, float]:
-        return {
-            "min_value": self.min_value,
-            "spread": self.spread,
-            "gini": self.gini,
-            "dcg_mean": self.dcg_mean,
-            "dcg_std": self.dcg_std,
-        }
+        return asdict(self)
 
 
 def metrics_for_distribution(instance: Instance, distribution) -> MetricsReport:

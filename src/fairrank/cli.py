@@ -9,8 +9,8 @@ Subcommands::
                 constraints when ``--input`` is given
     metrics     re-evaluate a stored distribution against its instance and
                 constraints
-    decompose   exact satisfaction-block decomposition (at most 4096 group
-                count vectors)
+    decompose   exact satisfaction-block decomposition (from a table over
+                group count vectors of at most 2**20 cells)
     experiment  compare fair and deterministic rankings over an alpha grid
 
 Instances are CSV files with header ``id,group,score``; groups are indexed

@@ -97,6 +97,20 @@ def test_min_satisfaction_bound_vacuous(eight, eight_model):
     assert min_satisfaction_bound(eight, cons, eight_model) == 0.0
 
 
+@pytest.mark.parametrize("size", [2, 4])
+def test_exact_tools_reject_a_value_model_of_another_size(size):
+    inst = Instance.from_rows([("a", "g", 0.9), ("b", "h", 0.5), ("c", "g", 0.1)])
+    cons = ConstraintSet.vacuous(inst)
+    model = ValueModel.custom(range(size, 0, -1), range(size))
+    match = "value model does not match the instance size"
+    with pytest.raises(ValueError, match=match):
+        fair_decomposition(inst, cons, model)
+    with pytest.raises(ValueError, match=match):
+        min_satisfaction_bound(inst, cons, model)
+    with pytest.raises(ValueError, match=match):
+        max_total_value(inst, cons, model, [0, 2])
+
+
 def _two_group_instance(size: int) -> Instance:
     return Instance.from_rows(
         (f"x{i:03d}", "ab"[i % 2], 1.0 - i / (4 * size)) for i in range(2 * size)
@@ -104,21 +118,21 @@ def _two_group_instance(size: int) -> Instance:
 
 
 def test_count_scan_guard():
-    """Two groups of 64 have 65 * 65 = 4225 count vectors, past the guard
-    of 4096; one group of 13, once past the old n <= 12 subset scan, now
-    decomposes."""
-    inst = _two_group_instance(64)
+    """Two groups of 1024 need a 1025 * 1025 = 1050625-cell count-lattice
+    table, past the budget of 2**20, and are refused before any fill; one
+    group of 4095, once a 4096-fill scan, now decomposes from one fill."""
+    inst = _two_group_instance(1024)
     model = ValueModel.position_diff(inst)
     cons = ConstraintSet.vacuous(inst)
-    with pytest.raises(InstanceTooLarge, match="4225"):
+    with pytest.raises(InstanceTooLarge, match="1050625"):
         min_satisfaction_bound(inst, cons, model)
-    with pytest.raises(InstanceTooLarge, match="4225"):
+    with pytest.raises(InstanceTooLarge, match="1050625"):
         fair_decomposition(inst, cons, model)
-    flat = _flat_instance(13)
+    flat = _flat_instance(4095)
     dec = fair_decomposition(
         flat, ConstraintSet.vacuous(flat), ValueModel.position_diff(flat)
     )
-    assert dec.blocks == ((tuple(range(13)), 0.0),)
+    assert dec.blocks == ((tuple(range(4095)), 0.0),)
 
 
 def test_decomposition_golden(eight, eight_lower, eight_model):

@@ -453,9 +453,9 @@ def test_sample_command_draws_like_the_library(eight_csv, tmp_path, capsys):
 
 
 def test_exit_code_for_size_guard(tmp_path, capsys):
-    """Two groups of 64: 65 * 65 = 4225 count vectors, past the 4096 the
-    exact decomposition scans."""
-    rows = "".join(f"x{i:03d},{'ab'[i % 2]},{1.0 - i * 0.005}\n" for i in range(128))
+    """Two groups of 1024: a 1025 * 1025 = 1050625-cell count-lattice
+    table, past the 2**20 the exact decomposition builds."""
+    rows = "".join(f"x{i:04d},{'ab'[i % 2]},{1.0 - i / 4096}\n" for i in range(2048))
     big = tmp_path / "big.csv"
     big.write_text("id,group,score\n" + rows)
     code, payload = run_json(capsys, ["decompose", "--input", str(big)])

@@ -25,7 +25,9 @@ from fairrank import (
 
 from fairrank.oracle import _greedy_fill
 
-from conftest import random_instance, random_upper_constraints, random_weights
+from conftest import (
+    random_instance, random_upper_constraints, random_weights, ranking_cases,
+)
 from spot_checks import greedy_fill_scan, has_monge_property
 
 RELATIVE_TOL = 1e-9
@@ -188,3 +190,27 @@ def test_release_fill_matches_the_position_scan():
         assert sorted(got.order) == list(range(n))
         assert all(got.position[u] == p for p, u in enumerate(got.order, start=1))
     assert 100 < raised < 500
+
+
+@given(ranking_cases(floors=True), st.data())
+@settings(max_examples=300, deadline=None)
+def test_leading_set_positions_depend_only_on_its_counts(case, data):
+    """Each member goes to the first free position at or after the release
+    of their group's next slot, so a set put first in the order takes the
+    same positions whichever members and order it has, given its group
+    counts.  The exact decomposition's count-lattice table rests on this."""
+    inst, cons, _ = case
+    counts = [data.draw(st.integers(0, int(size))) for size in inst.group_sizes]
+    slots = []
+    for _ in range(2):
+        left = list(counts)
+        picked = []
+        for u in data.draw(st.permutations(range(inst.n))):
+            g = inst.group_of[u]
+            if left[g]:
+                left[g] -= 1
+                picked.append(u)
+        rest = [u for u in inst.merit_order if u not in picked]
+        position = _greedy_fill(inst, cons, picked + rest).position
+        slots.append(sorted(position[u] for u in picked))
+    assert slots[0] == slots[1]
