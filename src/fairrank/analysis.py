@@ -12,7 +12,9 @@ metric helpers at the bottom scale to any size.
 
 from __future__ import annotations
 
+import itertools
 import math
+from array import array
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from .core import ConstraintSet, Instance, Ranking, ValueModel
 from .errors import InstanceTooLarge
-from .oracle import _greedy_fill, best_response
+from .oracle import _fill, _greedy_fill, best_response
 
 __all__ = [
     "enumerate_valid_rankings",
@@ -174,7 +176,6 @@ def fair_decomposition(
         raise InstanceTooLarge(
             f"the count-lattice table is limited to {TABLE_CELL_BUDGET} cells, got {cells}"
         )
-    f = np.asarray(value_model.position_scores)
     g = np.asarray(value_model.merit_scores)
     # Each group's members by descending merit score, merit order breaking ties.
     by_group: list[list[int]] = [[] for _ in shape]
@@ -186,12 +187,23 @@ def fair_decomposition(
     rows = np.moveaxis(table, row, -1)
     lead = by_group[row]
     others = by_group[:row] + by_group[row + 1:]
-    for c in np.ndindex(rows.shape[:-1]):
-        chosen = [u for m, k in zip(others, c) for u in m[:k]]
-        rest = [u for m, k in zip(others, c) for u in m[k:]]
-        position = _greedy_fill(instance, constraints, chosen + lead + rest).position
-        scores = f[np.asarray(position) - 1]
-        rows[c] = np.cumsum(np.append(scores[chosen].sum(), scores[lead]))
+    # One whole fill checks the caps; each table fill then walks only the
+    # leading set, whose positions do not depend on who follows it.
+    _greedy_fill(instance, constraints, instance.merit_order)
+    release, groups = constraints.release, instance._groups
+    # scores[p] is the score of 1-based position p.
+    scores = [0.0, *value_model.position_scores]
+    prefixes = [[m[:k] for k in range(len(m) + 1)] for m in others]
+    flat = array("d")
+    for picked in itertools.product(*prefixes):
+        chosen = list(itertools.chain.from_iterable(picked))
+        position = _fill(release, groups, chosen + lead)[1]
+        total = sum([scores[position[u]] for u in chosen])
+        flat.append(total)
+        for u in lead:
+            total += scores[position[u]]
+            flat.append(total)
+    rows[...] = np.frombuffer(flat).reshape(rows.shape)
     integer = value_model.integer_valued
     frozen = (0,) * len(shape)
     blocks: list[tuple[tuple[int, ...], float]] = []

@@ -69,6 +69,7 @@ class Instance:
         "merit_order",
         "merit_position",
         "_index_of",
+        "_groups",
     )
 
     def __init__(
@@ -105,6 +106,8 @@ class Instance:
         self.relevance.setflags(write=False)
         self.group_of = group_of
         self.group_of.setflags(write=False)
+        # The greedy fill indexes groups from Python once per placement.
+        self._groups = tuple(group_of.tolist())
         self.group_sizes = np.bincount(group_of, minlength=n_groups)
         self.group_sizes.setflags(write=False)
         order = sorted(range(self.n), key=lambda i: (-relevance[i], ids[i]))
@@ -283,8 +286,10 @@ class ValueModel:
 
     def values(self, ranking: Ranking) -> np.ndarray:
         """Per-individual values under ``ranking``, indexed by individual."""
-        pos = np.fromiter(ranking.position, dtype=int, count=self.n)
-        return self._f[pos - 1] - self._g
+        values = np.empty(self.n)
+        values[np.array(ranking.order)] = self._f
+        values -= self._g
+        return values
 
     def __repr__(self) -> str:
         return f"ValueModel(kind={self.kind!r}, n={self.n})"

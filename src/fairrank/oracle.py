@@ -22,6 +22,7 @@ group at every position.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -59,10 +60,11 @@ def weight_order_key(instance: Instance, weights: Sequence[float]) -> tuple[int,
     w = np.asarray(weights, dtype=float)
     if w.shape != (instance.n,):
         raise ValueError("need one weight per individual")
-    if not (np.isfinite(w).all() and w.min() >= 0):
+    order = np.lexsort((instance.merit_position, -w)).tolist()
+    # The sort puts NaN last, so the two ends bound every weight.
+    if not (w[order[-1]] >= 0 and w[order[0]] < math.inf):
         raise ValueError("weights must be finite and nonnegative")
-    order = np.lexsort((instance.merit_position, -w))
-    return tuple(order.tolist())
+    return tuple(order)
 
 
 def _greedy_fill(
@@ -71,26 +73,41 @@ def _greedy_fill(
     """The ranking that fills positions 1..n, each time with the earliest
     individual in ``order`` whose group cap at that prefix still has room.
 
-    Built as list scheduling: walk ``order`` once and put each individual at
-    the first free position at or after the release of their group's next
-    slot.  The top-to-bottom fill gives the first individual in ``order``
-    that same position, because no one it would yield to is left; the rest
-    then fill the remaining positions by the same rule.  Releases only move
-    later within a group, so a group's members keep their order.  Raises
-    :class:`InfeasibleConstraints` naming the first position left empty,
-    and ``ValueError`` when the constraints have no equivalent caps.
+    Raises :class:`InfeasibleConstraints` naming the first position left
+    empty, and ``ValueError`` when the constraints have no equivalent caps.
     """
     _equivalent_caps(constraints, instance)
-    n = instance.n
-    release = constraints.release
-    group_of = instance.group_of.tolist()
-    taken = [0] * instance.n_groups
+    out, position = _fill(constraints.release, instance._groups, order)
+    if -1 in out:
+        raise InfeasibleConstraints(
+            f"no group may take position {out.index(-1) + 1} without exceeding its cap"
+        )
+    return Ranking._trusted(tuple(out), tuple(position))
+
+
+def _fill(
+    release: Sequence[Sequence[int]], groups: Sequence[int], order: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """List scheduling of ``order`` over the release positions of checked
+    caps: each individual goes to the first free position at or after the
+    release of their group's next slot.
+
+    The top-to-bottom fill gives the first individual in ``order`` that
+    same position, because no one it would yield to is left; the rest then
+    fill the remaining positions by the same rule.  Releases only move later
+    within a group, so a group's members keep their order, and a prefix of
+    ``order`` takes the positions it takes in the whole walk.  Returns the
+    individual at each 0-based position (``-1`` where none is) and each
+    individual's 1-based position (``0`` for one not placed).
+    """
+    n = len(groups)
+    taken = [0] * len(release)
     # nxt[i] leads to the first free position >= i; nxt[n] = n is the end.
     nxt = list(range(n + 1))
     out = [-1] * n
     position = [0] * n
     for u in order:
-        g = group_of[u]
+        g = groups[u]
         start = slot = release[g][taken[g]]
         taken[g] += 1
         while nxt[slot] != slot:
@@ -101,11 +118,7 @@ def _greedy_fill(
             out[slot] = u
             position[u] = slot + 1
             nxt[slot] = slot + 1
-    if -1 in out:
-        raise InfeasibleConstraints(
-            f"no group may take position {out.index(-1) + 1} without exceeding its cap"
-        )
-    return Ranking._trusted(tuple(out), tuple(position))
+    return out, position
 
 
 def best_response(
@@ -120,8 +133,7 @@ def best_response(
     ``ValueError`` on negative weights or on lower bounds over three or more
     groups.
     """
-    order = weight_order_key(instance, weights)
-    ranking = _greedy_fill(instance, constraints, order)
+    w = np.asarray(weights, dtype=float)
+    ranking = _greedy_fill(instance, constraints, weight_order_key(instance, w))
     values = value_model.values(ranking)
-    objective = float(np.asarray(weights, dtype=float) @ values)
-    return OracleResult(ranking, values, objective)
+    return OracleResult(ranking, values, float(w @ values))

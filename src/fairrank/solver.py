@@ -17,17 +17,23 @@ linear minimizer and affine steps over a small active set.  Minimizing
 ``max(x) - x``: the shift by ``max(x)`` adds the same amount to every
 vertex's objective and keeps the weights nonnegative.
 
+The first oracle call, with zero weights, is also the feasibility check:
+its fill leaves a position empty exactly when no ranking meets the bounds,
+and the solve then raises :class:`InfeasibleConstraints`.
+
 Each major cycle asks the oracle for the vertex ``q`` minimizing ``x . q``.
 The minimum-norm point ``x*`` satisfies ``x* . (x - x*) >= 0``, hence
 ``|x - x*|^2 <= x . x - x . q``, and the square root of that gap bounds the
-error of every entry of the sorted vector.  A cheaper bound is checked
-before each oracle call: both ``x`` and ``x*`` give each individual a value
-between their worst and best attainable value, so the distance from ``x_u``
-to the farther end of that interval also bounds the error.  The solve stops
-as soon as either bound is at most ``epsilon``.  Between oracle calls, minor
-cycles move ``x`` to the affine minimizer of the active vertices, dropping
-vertices whose weight reaches zero; the active set stays affinely
-independent, so the support never exceeds ``n``.
+error of every entry of the sorted vector.  Two cheaper bounds are checked
+before each oracle call.  Both ``x`` and ``x*`` give each individual a
+value between their worst and best attainable value, so the distance from
+``x_u`` to the farther end of that interval bounds the error.  And every
+vertex has the same sum as ``x``, so at a flat ``x`` the gap is 0 for
+every ``q``, and the solve ends without the call.  The solve stops as soon
+as a bound is at most ``epsilon``.  Between oracle calls, minor cycles move
+``x`` to the affine minimizer of the active vertices, dropping vertices
+whose weight reaches zero; the active set stays affinely independent, so
+the support never exceeds ``n``.
 
 The affine steps read the inverse of ``P P^T + 1 1^T`` for the active rows
 ``P``, kept up to date as Wolfe kept his factor: bordered in O(k^2) when a
@@ -46,7 +52,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ConstraintSet, Instance, Ranking, ValueModel, is_feasible
+from .core import ConstraintSet, Instance, Ranking, ValueModel
 from .errors import InfeasibleConstraints, IterationCapExceeded
 from .oracle import best_response
 
@@ -142,7 +148,7 @@ class FairDistribution:
                 entry[1] += float(prob)
         total = sum(entry[1] for entry in merged.values())
         entries = sorted(merged.values(), key=lambda e: (-e[1], e[0].order))
-        probabilities = np.array([e[1] for e in entries]) / total
+        probabilities = [e[1] / total for e in entries]
         rows = np.array([e[2] for e in entries], dtype=float)
         if rows.shape != (len(entries), instance.n):
             raise ValueError(
@@ -151,11 +157,8 @@ class FairDistribution:
             )
         rows.setflags(write=False)
         self.instance = instance
-        self.atoms = tuple(
-            RankedAtom(e[0], p, v)
-            for e, p, v in zip(entries, probabilities.tolist(), rows)
-        )
-        expected = probabilities @ rows
+        self.atoms = tuple(map(RankedAtom, [e[0] for e in entries], probabilities, rows))
+        expected = np.array(probabilities) @ rows
         expected.setflags(write=False)
         self.expected = expected
         self.lambda_phases = tuple(float(x) for x in lambda_phases)
@@ -194,15 +197,6 @@ def _check_mass(probabilities: Sequence[float]) -> None:
         raise ValueError(f"support probabilities sum to {total}, expected 1")
 
 
-def _validated_inputs(
-    instance: Instance, constraints: ConstraintSet, value_model: ValueModel
-) -> None:
-    if value_model.n != instance.n:
-        raise ValueError("value model does not match the instance size")
-    if not is_feasible(instance, constraints):
-        raise InfeasibleConstraints("no valid ranking satisfies the bounds")
-
-
 def _bordered(inverse: np.ndarray, points: np.ndarray, q: np.ndarray):
     """``(P P^T + 1 1^T)^-1`` for the rows ``P = points`` with ``q``
     appended, bordered from ``inverse``, the same matrix without ``q``.
@@ -213,7 +207,8 @@ def _bordered(inverse: np.ndarray, points: np.ndarray, q: np.ndarray):
     Returns ``None`` when ``s`` is not above float resolution of
     ``q . q + 1``: ``q`` is then affinely dependent on the active rows.
     """
-    b = points @ q + 1.0
+    b = points @ q
+    b += 1.0
     t = inverse @ b
     diag = float(q @ q) + 1.0
     s = diag - float(b @ t)
@@ -221,8 +216,10 @@ def _bordered(inverse: np.ndarray, points: np.ndarray, q: np.ndarray):
         return None
     k = len(t)
     grown = np.empty((k + 1, k + 1))
-    grown[:k, :k] = inverse + t[:, None] * (t / s)
-    grown[k, :k] = grown[:k, k] = -t / s
+    ts = t / s
+    np.multiply.outer(t, ts, out=grown[:k, :k])
+    grown[:k, :k] += inverse
+    grown[k, :k] = grown[:k, k] = -ts
     grown[k, k] = 1.0 / s
     return grown
 
@@ -254,9 +251,13 @@ def _affine_weights(inverse: np.ndarray, points: np.ndarray) -> np.ndarray:
     residual is taken from ``P`` itself (corrected semi-normal equations);
     that brings the weights back to least-squares accuracy.
     """
-    u = inverse.sum(axis=1)
-    u += inverse @ (1.0 - points @ (u @ points) - u.sum())
-    return u / u.sum()
+    u = np.add.reduce(inverse, axis=1)
+    r = points @ (u @ points)
+    np.subtract(1.0, r, out=r)
+    r -= np.add.reduce(u)
+    u += inverse @ r
+    u /= np.add.reduce(u)
+    return u
 
 
 def _minor_cycles(
@@ -330,13 +331,15 @@ def solve_maxmin(
     """Compute an epsilon-accurate maxmin-fair distribution over valid
     rankings.
 
-    Constraints must be feasible; lower bounds over one or two groups are
-    accepted as given, and over three or more groups raise ``ValueError``.
-    The result's sorted expected-satisfaction vector matches the
-    lexicographic optimum to within ``config.epsilon`` per entry, and the
-    run is deterministic for fixed inputs and configuration.  The support is Wolfe's final active
-    set as it stands: at most ``n`` rankings, each with probability above
-    ``1e-12``; no atom is dropped or reweighted after the certificate.
+    Infeasible constraints raise :class:`InfeasibleConstraints` from the
+    first oracle fill; lower bounds over one or two groups are accepted as
+    given, and over three or more groups raise ``ValueError``.  The
+    result's sorted expected-satisfaction vector matches the lexicographic
+    optimum to within ``config.epsilon`` per entry, and the run is
+    deterministic for fixed inputs and configuration.  The support is
+    Wolfe's final active set as it stands: at most ``n`` rankings, each
+    with probability above ``1e-12``; no atom is dropped or reweighted
+    after the certificate.
 
     A solve that stalls raises :class:`IterationCapExceeded` with the
     reason and the last certified bound: the oracle-call cap is reached,
@@ -347,13 +350,13 @@ def solve_maxmin(
     ``iterations`` (affine solves of the minor cycles), ``support``,
     ``max_active`` (the largest active set of the solve), ``bound`` (the
     certified per-entry error) and ``stop`` (``gap`` or ``box``, the bound
-    that ended the solve).
+    that ended the solve; a flat ``x`` ends with ``bound=0 stop=gap``).
     """
     config = config or SolverConfig()
-    _validated_inputs(instance, constraints, value_model)
+    if value_model.n != instance.n:
+        raise ValueError("value model does not match the instance size")
     eps = config.epsilon
-    f = np.asarray(value_model.position_scores)
-    g = np.asarray(value_model.merit_scores)
+    f, g = value_model._f, value_model._g
     lowest, highest = f[-1] - g, f[0] - g
     calls = 0
     solves = 0
@@ -373,12 +376,17 @@ def solve_maxmin(
         res = best_response(instance, constraints, value_model, weights)
         return res.ranking, res.values
 
-    ranking, q = vertex(np.zeros(instance.n))
+    try:
+        ranking, q = vertex(np.zeros(instance.n))
+    except InfeasibleConstraints as exc:
+        # The fill leaves a position empty only when no ranking fits.
+        raise InfeasibleConstraints("no valid ranking satisfies the bounds") from exc
     active = [ranking]
     members = {ranking.order}
     points = q[None, :]
     weights = np.ones(1)
-    inverse = np.array([[1.0 / (float(q @ q) + 1.0)]])
+    norm = float(q @ q)
+    inverse = np.array([[1.0 / (norm + 1.0)]])
     max_active = 1
     x = q
     while True:
@@ -386,7 +394,12 @@ def solve_maxmin(
         if box <= eps:
             bound, stop = box, "box"
             break
-        ranking, q = vertex(x.max() - x)
+        w = x.max() - x
+        if not w.any():
+            # Every vertex has the sum of a flat x, so x . (x - q) = 0.
+            bound, stop = 0.0, "gap"
+            break
+        ranking, q = vertex(w)
         bound = min(box, math.sqrt(max(0.0, float(x @ (x - q)))))
         if bound <= eps:
             stop = "gap"
@@ -396,7 +409,6 @@ def solve_maxmin(
         inverse = _bordered(inverse, points, q)
         if inverse is None:
             raise stalled("singular active set in an affine step")
-        norm = float(x @ x)
         active.append(ranking)
         members.add(ranking.order)
         max_active = max(max_active, len(active))
@@ -407,12 +419,14 @@ def solve_maxmin(
         )
         solves += used
         x = weights @ points
-        if not float(x @ x) < norm:
+        shorter = float(x @ x)
+        if not shorter < norm:
             raise stalled("a major cycle did not shorten x")
+        norm = shorter
 
     distribution = FairDistribution(
         instance,
-        zip(active, weights, points),
+        zip(active, weights.tolist(), points),
         lambda_phases=_levels(x, bound),
         oracle_calls=calls,
         epsilon=eps,

@@ -7,7 +7,7 @@ merit tie-break, both of which the property tests exercise.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 import hypothesis.strategies as st
 
 from fairrank import (
@@ -18,6 +18,7 @@ from fairrank import (
     best_response,
     deterministic_baseline,
     enumerate_valid_rankings,
+    is_feasible,
     max_total_value,
     merit_ranking,
     weight_order_key,
@@ -118,6 +119,15 @@ def test_oracle_rejects_negative_weights(eight, eight_upper, eight_model):
         best_response(eight, eight_upper, eight_model, [-1.0] + [0.0] * 7)
 
 
+@pytest.mark.parametrize("bad", [-1.0, -np.inf, np.inf, np.nan])
+@pytest.mark.parametrize("at", [0, 3, 7])
+def test_order_key_rejects_a_bad_weight_anywhere(eight, bad, at):
+    w = np.linspace(0.0, 1.0, 8)
+    w[at] = bad
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        weight_order_key(eight, w)
+
+
 def test_oracle_accepts_lower_bounds_as_given(
     eight, eight_lower, eight_upper, eight_model
 ):
@@ -214,3 +224,47 @@ def test_leading_set_positions_depend_only_on_its_counts(case, data):
         position = _greedy_fill(inst, cons, picked + rest).position
         slots.append(sorted(position[u] for u in picked))
     assert slots[0] == slots[1]
+
+
+@st.composite
+def capped_rosters(draw, max_n=8):
+    """1-3 groups under vacuous caps less 0-2 per prefix, and for one or two
+    groups floors of 0-2 per prefix (after the monotone repair, up to 2 in
+    every later prefix), feasible or not; sets whose floors exceed their
+    own caps fail at construction and are skipped."""
+    n = draw(st.integers(1, max_n))
+    t = draw(st.integers(1, min(3, n)))
+    rest = draw(st.lists(st.integers(0, t - 1), min_size=n - t, max_size=n - t))
+    groups = draw(st.permutations(list(range(t)) + rest))
+    inst = Instance.from_rows(
+        (f"u{i + 1}", "ABC"[g], 1.0 - i / (2 * n)) for i, g in enumerate(groups)
+    )
+    small = st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=t * n, max_size=t * n)
+    caps = np.array(ConstraintSet.vacuous(inst).upper) - np.reshape(draw(small), (t, n))
+    lower = None
+    if t <= 2 and draw(st.booleans()):
+        lower = np.reshape(draw(small), (t, n))
+    try:
+        cons = ConstraintSet(caps, lower)
+    except InfeasibleConstraints:
+        assume(False)
+    return inst, cons
+
+
+@given(capped_rosters(), st.data())
+@settings(max_examples=500, deadline=None)
+def test_fill_fails_exactly_when_no_ranking_fits(case, data):
+    """The solver's feasibility check is its first fill, in merit order:
+    a position is left empty exactly when ``is_feasible`` is False, and the
+    same holds for any other order."""
+    inst, cons = case
+    feasible = is_feasible(inst, cons)
+    event(f"feasible: {feasible}")
+    for order in (inst.merit_order, data.draw(st.permutations(range(inst.n)))):
+        try:
+            _greedy_fill(inst, cons, order)
+        except InfeasibleConstraints:
+            filled = False
+        else:
+            filled = True
+        assert filled == feasible

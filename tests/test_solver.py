@@ -183,6 +183,52 @@ def test_degenerate_model_solves_at_once():
     assert dist.lambda_phases == (0.0,)
 
 
+def test_infeasible_caps_raise_the_solver_message(eight, eight_model):
+    """Caps of one M and two F in every prefix pass construction but cover
+    only three positions: the first fill leaves position 4 empty, and the
+    solve reports that as no valid ranking."""
+    tight = ConstraintSet([[1] * 8, [2] * 8])
+    with pytest.raises(
+        InfeasibleConstraints, match=r"^no valid ranking satisfies the bounds$"
+    ) as raised:
+        solve_maxmin(eight, tight, eight_model)
+    assert isinstance(raised.value.__cause__, InfeasibleConstraints)
+    assert "position 4" in str(raised.value.__cause__)
+
+
+def test_flat_first_vertex_ends_without_a_second_call(eight, caplog):
+    """Under vacuous caps the first vertex is the merit ranking, which gives
+    everyone value 0.  Every vertex has the same sum, so the gap at a flat
+    ``x`` is 0 and the solve stops after one oracle call."""
+    cons = ConstraintSet.vacuous(eight)
+    for model in (
+        ValueModel.position_diff(eight),
+        ValueModel.log_ratio(eight),
+        ValueModel.top_k_selection(eight, 3),
+    ):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="fairrank.solver"):
+            dist = solve_maxmin(eight, cons, model)
+        assert dist.oracle_calls == 1
+        assert dist.expected.tolist() == [0.0] * 8
+        assert dist.lambda_phases == (0.0,)
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "fairrank.solver"]
+        assert "oracle_calls=1 " in line
+        assert line.endswith(" bound=0 stop=gap")
+
+
+def test_worked_example_oracle_calls_by_epsilon(eight, eight_upper, eight_model):
+    """Only a flat ``x`` ends a solve without an oracle call.  Stopping on
+    the oracle-free bound ``|x - mean(x)|`` as well would also be valid, but
+    cuts these counts to ``[6, 4, 3, 1, 1]``, so they no longer shrink
+    strictly with epsilon."""
+    calls = [
+        solve_maxmin(eight, eight_upper, eight_model, SolverConfig(epsilon=eps)).oracle_calls
+        for eps in (0.5, 1.0, 2.0, 5.0, 10.0)
+    ]
+    assert calls == [6, 4, 3, 2, 1]
+
+
 def test_iteration_cap_raises(eight, eight_upper, eight_model):
     with pytest.raises(IterationCapExceeded, match="cap of 1 oracle calls"):
         solve_maxmin(
