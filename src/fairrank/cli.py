@@ -37,7 +37,6 @@ from .core import (
     Ranking,
     ValueModel,
     build_rule_constraints,
-    is_feasible,
     is_valid,
 )
 from .errors import (
@@ -106,10 +105,20 @@ def load_constraints(instance: Instance, spec: dict) -> ConstraintSet:
 
     Either ``{"rule": "ceil-alpha", "alpha": .., "protected": ..}`` /
     ``{"rule": "floor-balanced", "start_k": ..}`` or explicit bound tables
-    ``{"upper": {label: [..n values..]}, "lower": {...}}``; groups missing
-    from a table get vacuous bounds.
+    ``{"upper": {label: [..n integers..]}, "lower": {...}}``; groups
+    missing from a table get vacuous bounds.  A field of the wrong JSON type
+    raises ``ValueError``.
     """
+    if not isinstance(spec, dict):
+        raise ValueError("constraint JSON must be an object")
     if "rule" in spec:
+        for key, kinds, what in (
+            ("alpha", (int, float), "a number"),
+            ("protected", (str, int), "a group label or index"),
+            ("start_k", (int,), "an integer"),
+        ):
+            if spec.get(key) is not None and type(spec[key]) not in kinds:
+                raise ValueError(f"constraint rule field {key!r} must be {what}")
         return build_rule_constraints(
             instance,
             spec["rule"],
@@ -123,14 +132,25 @@ def load_constraints(instance: Instance, spec: dict) -> ConstraintSet:
     upper = [list(row) for row in vac.upper]
     lower = [[0] * instance.n for _ in range(instance.n_groups)]
     for key, table in (("upper", upper), ("lower", lower)):
-        for label, bounds in (spec.get(key) or {}).items():
+        tables = spec.get(key)
+        if tables is None:
+            continue
+        if not isinstance(tables, dict):
+            raise ValueError(f"{key} bounds must map group labels to lists")
+        for label, bounds in tables.items():
             g = instance.group_index(label)
-            if len(bounds) != instance.n:
+            if not (
+                isinstance(bounds, list)
+                and len(bounds) == instance.n
+                and all(type(x) is int for x in bounds)
+            ):
                 raise ValueError(
-                    f"{key} bounds for group {label!r} must list all "
-                    f"{instance.n} prefixes"
+                    f"{key} bounds for group {label!r} must list "
+                    f"{instance.n} integers, one per prefix"
                 )
-            table[g] = [int(x) for x in bounds]
+            # ConstraintSet clips every bound to 0..n anyway; clipping here
+            # keeps integers past int64 out of its array.
+            table[g] = [min(max(x, 0), instance.n) for x in bounds]
     return ConstraintSet(upper, lower)
 
 
@@ -284,10 +304,8 @@ def _cmd_solve(args) -> dict:
 def _cmd_baseline(args) -> dict:
     instance = _instance_from_args(args)
     constraints = _constraints_from_args(args, instance)
-    if not is_feasible(instance, constraints):
-        raise InfeasibleConstraints("no valid ranking satisfies the bounds")
-    value_model = _value_model(instance, args.value_fn, args.k)
     ranking = baseline_mod.deterministic_baseline(instance, constraints)
+    value_model = _value_model(instance, args.value_fn, args.k)
     values = value_model.values(ranking)
     return {
         "ranking": list(ranking.ids(instance)),
@@ -362,8 +380,6 @@ def _cmd_experiment(args) -> dict:
             instance, "ceil-alpha", alpha=alpha,
             protected_group=protected, start_k=args.start_k,
         )
-        if not is_feasible(instance, constraints):
-            raise InfeasibleConstraints(f"alpha={alpha} admits no valid ranking")
         distribution = solve_maxmin(instance, constraints, value_model, config)
         det = baseline_mod.deterministic_baseline(instance, constraints)
         fair_metrics = analysis.metrics_for_distribution(instance, distribution).to_dict()

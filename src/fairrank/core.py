@@ -185,7 +185,15 @@ class Ranking:
 
     @classmethod
     def from_ids(cls, instance: Instance, ids: Sequence[str]) -> "Ranking":
-        return cls(instance.index_of(u) for u in ids)
+        """The ranking listing ``ids`` top to bottom; ``ValueError`` unless
+        they are a permutation of the instance's ids."""
+        try:
+            order = [instance._index_of[u] for u in ids]
+        except KeyError as exc:
+            raise ValueError(f"unknown id {exc.args[0]!r} in a ranking") from None
+        if len(order) != instance.n:
+            raise ValueError(f"a ranking lists all {instance.n} ids, got {len(order)}")
+        return cls(order)
 
     def ids(self, instance: Instance) -> tuple[str, ...]:
         return tuple(instance.ids[i] for i in self.order)
@@ -421,6 +429,10 @@ def is_valid(ranking: Ranking, instance: Instance, constraints: ConstraintSet) -
     """Whether every prefix of ``ranking`` meets all group bounds."""
     if constraints.n != instance.n or constraints.n_groups != instance.n_groups:
         raise ValueError("constraints do not match the instance shape")
+    if len(ranking.order) != instance.n:
+        raise ValueError(
+            f"ranking has {len(ranking.order)} positions, the instance {instance.n}"
+        )
     upper = constraints.upper
     lower = constraints.lower
     counts = [0] * instance.n_groups

@@ -73,14 +73,17 @@ def _greedy_fill(
     """The ranking that fills positions 1..n, each time with the earliest
     individual in ``order`` whose group cap at that prefix still has room.
 
-    Raises :class:`InfeasibleConstraints` naming the first position left
-    empty, and ``ValueError`` when the constraints have no equivalent caps.
+    A position is left empty exactly when no ranking meets the bounds; this
+    is every entry point's infeasibility check, and raises
+    :class:`InfeasibleConstraints` naming the first empty position.  Raises
+    ``ValueError`` when the constraints have no equivalent caps.
     """
     _equivalent_caps(constraints, instance)
     out, position = _fill(constraints.release, instance._groups, order)
     if -1 in out:
         raise InfeasibleConstraints(
-            f"no group may take position {out.index(-1) + 1} without exceeding its cap"
+            "no valid ranking satisfies the bounds: no group may take position "
+            f"{out.index(-1) + 1} without exceeding its cap"
         )
     return Ranking._trusted(tuple(out), tuple(position))
 
@@ -129,9 +132,9 @@ def best_response(
 ) -> OracleResult:
     """Maximize the weighted total value over valid rankings.
 
-    Raises :class:`InfeasibleConstraints` when no valid ranking exists and
-    ``ValueError`` on negative weights or on lower bounds over three or more
-    groups.
+    Raises :class:`InfeasibleConstraints` from the fill when no valid
+    ranking exists, for any weights, and ``ValueError`` on negative weights
+    or on lower bounds over three or more groups.
     """
     w = np.asarray(weights, dtype=float)
     ranking = _greedy_fill(instance, constraints, weight_order_key(instance, w))

@@ -19,7 +19,7 @@ vertex's objective and keeps the weights nonnegative.
 
 The first oracle call, with zero weights, is also the feasibility check:
 its fill leaves a position empty exactly when no ranking meets the bounds,
-and the solve then raises :class:`InfeasibleConstraints`.
+and its :class:`InfeasibleConstraints` passes through the solve unchanged.
 
 Each major cycle asks the oracle for the vertex ``q`` minimizing ``x . q``.
 The minimum-norm point ``x*`` satisfies ``x* . (x - x*) >= 0``, hence
@@ -53,7 +53,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import ConstraintSet, Instance, Ranking, ValueModel
-from .errors import InfeasibleConstraints, IterationCapExceeded
+from .errors import IterationCapExceeded
 from .oracle import best_response
 
 logger = logging.getLogger(__name__)
@@ -68,6 +68,10 @@ _WEIGHT_DUST = 1e-12
 # stored support of up to 2,000 atoms still loads.
 _MASS_TOLERANCE = 1e-9
 
+# Oracle calls one solve may make before it stalls with
+# IterationCapExceeded; read at each call.
+_ORACLE_CALL_CAP = 50_000_000
+
 __all__ = [
     "SolverConfig",
     "RankedAtom",
@@ -79,22 +83,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver knobs.
-
-    ``epsilon`` is the certified additive accuracy of every entry of the
-    sorted expected-value vector, in the same units as the value model.
-    ``max_iterations_cap`` bounds the oracle calls of one solve; reaching it
-    raises :class:`IterationCapExceeded` instead of returning a vector.
+    """Solver settings: only ``epsilon``, the certified additive accuracy
+    of every entry of the sorted expected-value vector, in the same units
+    as the value model.
     """
 
     epsilon: float = 0.01
-    max_iterations_cap: int = 50_000_000
 
     def __post_init__(self):
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.max_iterations_cap < 1:
-            raise ValueError("the iteration cap must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,9 +329,10 @@ def solve_maxmin(
     """Compute an epsilon-accurate maxmin-fair distribution over valid
     rankings.
 
-    Infeasible constraints raise :class:`InfeasibleConstraints` from the
-    first oracle fill; lower bounds over one or two groups are accepted as
-    given, and over three or more groups raise ``ValueError``.  The
+    Infeasible constraints raise the first oracle fill's
+    :class:`InfeasibleConstraints`, which names the first position no group
+    may take; lower bounds over one or two groups are accepted as given,
+    and over three or more groups raise ``ValueError``.  The
     result's sorted expected-satisfaction vector matches the lexicographic
     optimum to within ``config.epsilon`` per entry, and the run is
     deterministic for fixed inputs and configuration.  The support is
@@ -342,9 +341,10 @@ def solve_maxmin(
     after the certificate.
 
     A solve that stalls raises :class:`IterationCapExceeded` with the
-    reason and the last certified bound: the oracle-call cap is reached,
-    the oracle returns a vertex already in the active set, an affine step
-    meets a singular active set, or a major cycle fails to shorten ``x``.
+    reason and the last certified bound: the cap of 50,000,000 oracle calls
+    (``_ORACLE_CALL_CAP``) is reached, the oracle returns a vertex already
+    in the active set, an affine step meets a singular active set, or a
+    major cycle fails to shorten ``x``.
 
     Each solve logs one INFO line with the keys ``oracle_calls``,
     ``iterations`` (affine solves of the minor cycles), ``support``,
@@ -370,17 +370,13 @@ def solve_maxmin(
 
     def vertex(weights: np.ndarray) -> tuple[Ranking, np.ndarray]:
         nonlocal calls
-        if calls >= config.max_iterations_cap:
-            raise stalled(f"reached the cap of {config.max_iterations_cap} oracle calls")
+        if calls >= _ORACLE_CALL_CAP:
+            raise stalled(f"reached the cap of {_ORACLE_CALL_CAP} oracle calls")
         calls += 1
         res = best_response(instance, constraints, value_model, weights)
         return res.ranking, res.values
 
-    try:
-        ranking, q = vertex(np.zeros(instance.n))
-    except InfeasibleConstraints as exc:
-        # The fill leaves a position empty only when no ranking fits.
-        raise InfeasibleConstraints("no valid ranking satisfies the bounds") from exc
+    ranking, q = vertex(np.zeros(instance.n))
     active = [ranking]
     members = {ranking.order}
     points = q[None, :]

@@ -155,7 +155,8 @@ def greedy_fill_scan(instance, constraints, order):
                     best_g = g
         if best_g < 0:
             raise InfeasibleConstraints(
-                f"no group may take position {i + 1} without exceeding its cap"
+                "no valid ranking satisfies the bounds: no group may take "
+                f"position {i + 1} without exceeding its cap"
             )
         out.append(queues[best_g][heads[best_g]][1])
         heads[best_g] += 1

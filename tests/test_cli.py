@@ -10,7 +10,17 @@ import pytest
 
 import fairrank
 
-from fairrank import DuplicateId, ParseError
+from fairrank import (
+    ConstraintSet,
+    DuplicateId,
+    InfeasibleConstraints,
+    ParseError,
+    ValueModel,
+    best_response,
+    deterministic_baseline,
+    fair_decomposition,
+    solve_maxmin,
+)
 from fairrank.cli import (
     distribution_from_dict,
     load_constraints,
@@ -75,6 +85,8 @@ def test_load_constraints_tables(eight):
         load_constraints(eight, {"upper": {"M": [1, 2]}})
     with pytest.raises(ValueError):
         load_constraints(eight, {})
+    huge = load_constraints(eight, {"upper": {"M": [10**30] * 8}})
+    assert huge.upper[0] == tuple(range(1, 9))
 
 
 def test_solve_command(eight_csv, capsys):
@@ -297,6 +309,47 @@ def test_mistyped_stored_distribution_exits_2(tmp_path, capsys):
             assert payload["error"]["type"] == "ValueError"
 
 
+FOUR_CSV = "id,group,score\na,M,0.9\nb,F,0.8\nc,M,0.7\nd,F,0.6\n"
+
+
+@pytest.mark.parametrize("spec", [
+    {"upper": [1, 2]},
+    {"upper": {"M": 5}},
+    {"rule": "ceil-alpha", "alpha": [1], "protected": "F"},
+    {"rule": "floor-balanced", "start_k": "3"},
+    {"upper": {"M": [1.5, 2, 2, 2]}},
+])
+def test_mistyped_constraint_json_exits_2(spec, tmp_path, capsys):
+    """A constraint file with a field of the wrong JSON type is malformed
+    input: exit 2 with the error JSON, not a traceback or a silent cut."""
+    roster = tmp_path / "four.csv"
+    roster.write_text(FOUR_CSV)
+    path = tmp_path / "constraints.json"
+    path.write_text(json.dumps(spec))
+    code, payload = run_json(capsys, [
+        "solve", "--input", str(roster), "--constraints", str(path),
+    ])
+    assert code == 2
+    assert payload["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("ranking, message", [
+    (["a", "b", "c"], "a ranking lists all 4 ids, got 3"),
+    (["a", "b", "c", "zz"], "unknown id 'zz' in a ranking"),
+])
+def test_stored_ranking_must_list_the_roster(ranking, message, tmp_path, capsys):
+    roster = tmp_path / "four.csv"
+    roster.write_text(FOUR_CSV)
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps({"support": [{"probability": 1.0, "ranking": ranking}]}))
+    for command in ("metrics", "sample"):
+        code, payload = run_json(capsys, [
+            command, "--input", str(roster), "--distribution", str(path),
+        ])
+        assert code == 2, command
+        assert payload["error"] == {"type": "ValueError", "message": message}
+
+
 def test_rule_file_solves_like_the_rule_flags(eight_csv, tmp_path, capsys):
     cases = [
         ({"rule": "ceil-alpha", "alpha": 0.3, "protected": "F"},
@@ -417,17 +470,47 @@ def test_exit_code_for_infeasible_bounds(eight_csv, tmp_path, capsys):
     assert code == 3
 
 
-def test_infeasible_caps_exit_3_with_the_solver_message(eight_csv, tmp_path, capsys):
+def test_infeasible_caps_give_one_message_at_every_entry_point(
+    eight, eight_csv, tmp_path, capsys
+):
+    """Caps of one M and two F in every prefix pass construction but cover
+    only three positions.  Every entry point's first fill leaves position 4
+    empty and reports it in the same words."""
+    message = (
+        "no valid ranking satisfies the bounds: "
+        "no group may take position 4 without exceeding its cap"
+    )
+    tight = ConstraintSet([[1] * 8, [2] * 8])
+    model = ValueModel.position_diff(eight)
+    calls = [
+        lambda: solve_maxmin(eight, tight, model),
+        lambda: best_response(eight, tight, model, np.arange(8.0)),
+        lambda: deterministic_baseline(eight, tight),
+        lambda: fair_decomposition(eight, tight, model),
+    ]
+    for call in calls:
+        with pytest.raises(InfeasibleConstraints) as raised:
+            call()
+        assert str(raised.value) == message
+        assert raised.value.__cause__ is None
+
     spec = tmp_path / "tight.json"
     spec.write_text(json.dumps({"upper": {"M": [1] * 8, "F": [2] * 8}}))
+    for command in ("solve", "baseline", "decompose"):
+        code, payload = run_json(capsys, [
+            command, "--input", eight_csv, "--constraints", str(spec),
+        ])
+        assert code == 3, command
+        assert payload["error"] == {
+            "type": "InfeasibleConstraints", "message": message,
+        }, command
+    # baseline fills before it builds the value model, so the infeasible
+    # roster is reported ahead of the missing --k.
     code, payload = run_json(capsys, [
-        "solve", "--input", eight_csv, "--constraints", str(spec),
+        "baseline", "--input", eight_csv, "--constraints", str(spec),
+        "--value-fn", "top-k",
     ])
     assert code == 3
-    assert payload["error"] == {
-        "type": "InfeasibleConstraints",
-        "message": "no valid ranking satisfies the bounds",
-    }
 
 
 def test_sample_command_draws_like_the_library(eight_csv, tmp_path, capsys):

@@ -71,6 +71,30 @@ def test_ranking_round_trip(eight):
         assert r.order[r.position[idx] - 1] == idx
 
 
+def test_ranking_from_ids_needs_a_permutation_of_the_roster():
+    inst = Instance.from_rows(
+        [("a", "M", 0.9), ("b", "F", 0.8), ("c", "M", 0.7), ("d", "F", 0.6)]
+    )
+    cases = [
+        (["a", "b", "c"], "lists all 4 ids, got 3"),
+        (["a", "b", "c", "d", "a"], "lists all 4 ids, got 5"),
+        (["a", "b", "zz", "d"], "unknown id 'zz'"),
+        (["a", "b", "a", "d"], "permutation"),
+    ]
+    for ids, message in cases:
+        with pytest.raises(ValueError, match=message):
+            Ranking.from_ids(inst, ids)
+    assert Ranking.from_ids(inst, ["d", "c", "b", "a"]).order == (3, 2, 1, 0)
+
+
+def test_is_valid_refuses_a_ranking_of_another_length(eight, eight_lower):
+    vacuous = ConstraintSet.vacuous(eight)
+    for order in ([0, 1, 2], list(range(9))):
+        for cons in (vacuous, eight_lower):
+            with pytest.raises(ValueError, match="positions, the instance 8"):
+                is_valid(Ranking(order), eight, cons)
+
+
 def test_position_diff_zero_on_merit(eight, eight_model):
     assert np.array_equal(eight_model.values(merit_ranking(eight)), np.zeros(8))
     assert eight_model.integer_valued
@@ -214,6 +238,28 @@ def test_infeasible_lower_exceeds_upper():
     lower = [[1, 1], [0, 0]]
     with pytest.raises(InfeasibleConstraints):
         ConstraintSet(upper, lower)
+
+
+@given(
+    st.lists(st.sampled_from("FM"), min_size=1, max_size=8),
+    st.integers(0, 1000),
+    st.integers(1, 5),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_ceil_alpha_sets_that_build_are_feasible(groups, permille, start_k, data):
+    """A ceil-alpha set with a decimal alpha is either refused when it is
+    built or admits a ranking, so callers need no feasibility check of
+    their own."""
+    inst = Instance.from_rows(
+        (f"u{i}", g, 1.0 - i / 10) for i, g in enumerate(groups)
+    )
+    protected = data.draw(st.sampled_from(groups))
+    try:
+        cons = ceil_alpha_constraints(inst, permille / 1000, protected, start_k)
+    except InfeasibleConstraints:
+        return
+    assert is_feasible(inst, cons)
 
 
 def test_is_feasible_counts_group_capacity(eight):

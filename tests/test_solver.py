@@ -33,10 +33,8 @@ from conftest import random_instance, random_upper_constraints, ranking_cases
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iterations_cap=0)
     fields = [f.name for f in dataclasses.fields(SolverConfig)]
-    assert fields == ["epsilon", "max_iterations_cap"]
+    assert fields == ["epsilon"]
 
 
 @pytest.fixture(scope="module")
@@ -183,19 +181,6 @@ def test_degenerate_model_solves_at_once():
     assert dist.lambda_phases == (0.0,)
 
 
-def test_infeasible_caps_raise_the_solver_message(eight, eight_model):
-    """Caps of one M and two F in every prefix pass construction but cover
-    only three positions: the first fill leaves position 4 empty, and the
-    solve reports that as no valid ranking."""
-    tight = ConstraintSet([[1] * 8, [2] * 8])
-    with pytest.raises(
-        InfeasibleConstraints, match=r"^no valid ranking satisfies the bounds$"
-    ) as raised:
-        solve_maxmin(eight, tight, eight_model)
-    assert isinstance(raised.value.__cause__, InfeasibleConstraints)
-    assert "position 4" in str(raised.value.__cause__)
-
-
 def test_flat_first_vertex_ends_without_a_second_call(eight, caplog):
     """Under vacuous caps the first vertex is the merit ranking, which gives
     everyone value 0.  Every vertex has the same sum, so the gap at a flat
@@ -229,11 +214,11 @@ def test_worked_example_oracle_calls_by_epsilon(eight, eight_upper, eight_model)
     assert calls == [6, 4, 3, 2, 1]
 
 
-def test_iteration_cap_raises(eight, eight_upper, eight_model):
+def test_iteration_cap_raises(eight, eight_upper, eight_model, monkeypatch):
+    assert fairrank.solver._ORACLE_CALL_CAP == 50_000_000
+    monkeypatch.setattr(fairrank.solver, "_ORACLE_CALL_CAP", 1)
     with pytest.raises(IterationCapExceeded, match="cap of 1 oracle calls"):
-        solve_maxmin(
-            eight, eight_upper, eight_model, SolverConfig(max_iterations_cap=1)
-        )
+        solve_maxmin(eight, eight_upper, eight_model)
 
 
 def _lstsq_affine_minimizer(points):
