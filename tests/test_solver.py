@@ -17,7 +17,9 @@ from fairrank import (
     IterationCapExceeded,
     SolverConfig,
     ValueModel,
+    best_response,
     ceil_alpha_constraints,
+    deterministic_baseline,
     enumerate_valid_rankings,
     fair_decomposition,
     is_valid,
@@ -179,6 +181,29 @@ def test_degenerate_model_solves_at_once():
     assert dist.expected.tolist() == [0.0, 0.0, 0.0]
     assert dist.oracle_calls == 1
     assert dist.lambda_phases == (0.0,)
+
+
+def test_infeasible_caps_raise_the_solver_message(eight, eight_model):
+    """Caps of one M and two F in every prefix pass construction but cover
+    only three positions.  Every library entry point's first fill leaves
+    position 4 empty and reports it in the same words, with no chained
+    cause."""
+    message = (
+        "no valid ranking satisfies the bounds: "
+        "no group may take position 4 without exceeding its cap"
+    )
+    tight = ConstraintSet([[1] * 8, [2] * 8])
+    calls = [
+        lambda: solve_maxmin(eight, tight, eight_model),
+        lambda: best_response(eight, tight, eight_model, np.arange(8.0)),
+        lambda: deterministic_baseline(eight, tight),
+        lambda: fair_decomposition(eight, tight, eight_model),
+    ]
+    for call in calls:
+        with pytest.raises(InfeasibleConstraints) as raised:
+            call()
+        assert str(raised.value) == message
+        assert raised.value.__cause__ is None
 
 
 def test_flat_first_vertex_ends_without_a_second_call(eight, caplog):
