@@ -136,7 +136,12 @@ class Instance:
         return cls(individuals, group_labels=labels)
 
     def index_of(self, id_: str) -> int:
-        return self._index_of[id_]
+        """The index of the individual with id ``id_``; ``ValueError`` for
+        an id not on the roster."""
+        try:
+            return self._index_of[id_]
+        except KeyError:
+            raise ValueError(f"unknown id {id_!r}") from None
 
     def group_index(self, label_or_index: str | int) -> int:
         """Resolve a group given either its label or its integer index."""
@@ -228,7 +233,7 @@ class ValueModel:
       value is -1, 0 or +1 depending on crossing the top-``k`` boundary.
     """
 
-    __slots__ = ("kind", "position_scores", "merit_scores", "_f", "_g")
+    __slots__ = ("kind", "position_scores", "merit_scores", "_f", "_g", "_scores")
 
     def __init__(
         self,
@@ -252,6 +257,8 @@ class ValueModel:
         g.setflags(write=False)
         self._f = f
         self._g = g
+        # _scores[p] is the score of 1-based position p; 0 is never read.
+        self._scores = np.concatenate(([0.0], f))
 
     @classmethod
     def position_diff(cls, instance: Instance) -> "ValueModel":
@@ -293,14 +300,24 @@ class ValueModel:
         )
 
     def values(self, ranking: Ranking) -> np.ndarray:
-        """Per-individual values under ``ranking``, indexed by individual."""
-        values = np.empty(self.n)
-        values[np.array(ranking.order)] = self._f
-        values -= self._g
-        return values
+        """Per-individual values under ``ranking``, indexed by individual:
+        each one's position score, read through ``ranking.position``, less
+        their merit score.  ``ValueError`` for a ranking of another length."""
+        if len(ranking.position) != self.n:
+            raise ValueError(
+                f"ranking has {len(ranking.position)} positions, the value model {self.n}"
+            )
+        return self._scores.take(ranking.position) - self._g
 
     def __repr__(self) -> str:
         return f"ValueModel(kind={self.kind!r}, n={self.n})"
+
+
+def _bound_table(rows: Sequence[Sequence[int]], name: str) -> np.ndarray:
+    try:
+        return np.array(rows, dtype=int)
+    except OverflowError:
+        raise ValueError(f"{name} bounds must fit in 64-bit integers") from None
 
 
 def _clamped(rows: np.ndarray, n: int) -> np.ndarray:
@@ -359,14 +376,14 @@ class ConstraintSet:
         upper: Sequence[Sequence[int]],
         lower: Sequence[Sequence[int]] | None = None,
     ):
-        urows = np.array(upper, dtype=int)
+        urows = _bound_table(upper, "upper")
         if urows.ndim != 2:
             raise ValueError("upper bounds must be a groups x positions table")
         t, n = urows.shape
         if lower is None:
             lrows = np.zeros((t, n), dtype=int)
         else:
-            lrows = np.array(lower, dtype=int)
+            lrows = _bound_table(lower, "lower")
             if lrows.shape != (t, n):
                 raise ValueError("lower bounds must match the upper-bound shape")
         urows = _normalize_upper(urows, n)

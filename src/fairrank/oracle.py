@@ -15,9 +15,8 @@ placement that respects the cap at its own prefix can never violate a later
 prefix.  The constraint set turns those caps into release positions once:
 the first position where each group may take its next member.  The fill
 then walks the weight order once and puts each individual at the first free
-position at or after that release, found through a path-compressed
-next-free-position list, in near-linear time instead of a scan over every
-group at every position.
+position at or after that release, found by one C-level byte search over
+the free positions instead of a scan over every group at every position.
 """
 
 from __future__ import annotations
@@ -99,29 +98,44 @@ def _fill(
     same position, because no one it would yield to is left; the rest then
     fill the remaining positions by the same rule.  Releases only move later
     within a group, so a group's members keep their order, and a prefix of
-    ``order`` takes the positions it takes in the whole walk.  Returns the
-    individual at each 0-based position (``-1`` where none is) and each
-    individual's 1-based position (``0`` for one not placed).
+    ``order`` takes the positions it takes in the whole walk.  The free
+    positions are the nonzero bytes of a ``bytearray``: a free release is
+    read directly, and a taken one costs one ``find`` in C however many
+    taken positions it crosses.  Returns the individual at each 0-based
+    position (``-1`` where none is) and each individual's 1-based position
+    (``0`` for one not placed).
     """
     n = len(groups)
     taken = [0] * len(release)
-    # nxt[i] leads to the first free position >= i; nxt[n] = n is the end.
-    nxt = list(range(n + 1))
+    # free[n] stays set, so a search that finds no free position ends at n.
+    free = bytearray(b"\x01") * (n + 1)
+    find = free.find
     out = [-1] * n
     position = [0] * n
     for u in order:
         g = groups[u]
-        start = slot = release[g][taken[g]]
+        slot = release[g][taken[g]]
         taken[g] += 1
-        while nxt[slot] != slot:
-            slot = nxt[slot]
-        while nxt[start] != slot:
-            nxt[start], start = slot, nxt[start]
+        if not free[slot]:
+            slot = find(1, slot)
         if slot < n:
+            free[slot] = 0
             out[slot] = u
             position[u] = slot + 1
-            nxt[slot] = slot + 1
     return out, position
+
+
+def _vertex(
+    instance: Instance,
+    constraints: ConstraintSet,
+    value_model: ValueModel,
+    order: Sequence[int],
+) -> tuple[Ranking, np.ndarray]:
+    """The greedy ranking for a weight order and its per-individual values:
+    the oracle without weights, for callers that sort and check their own.
+    Raises as :func:`_greedy_fill` does."""
+    ranking = _greedy_fill(instance, constraints, order)
+    return ranking, value_model.values(ranking)
 
 
 def best_response(
@@ -137,6 +151,7 @@ def best_response(
     or on lower bounds over three or more groups.
     """
     w = np.asarray(weights, dtype=float)
-    ranking = _greedy_fill(instance, constraints, weight_order_key(instance, w))
-    values = value_model.values(ranking)
+    ranking, values = _vertex(
+        instance, constraints, value_model, weight_order_key(instance, w)
+    )
     return OracleResult(ranking, values, float(w @ values))

@@ -24,23 +24,28 @@ and its :class:`InfeasibleConstraints` passes through the solve unchanged.
 Each major cycle asks the oracle for the vertex ``q`` minimizing ``x . q``.
 The minimum-norm point ``x*`` satisfies ``x* . (x - x*) >= 0``, hence
 ``|x - x*|^2 <= x . x - x . q``, and the square root of that gap bounds the
-error of every entry of the sorted vector.  Two cheaper bounds are checked
-before each oracle call.  Both ``x`` and ``x*`` give each individual a
-value between their worst and best attainable value, so the distance from
-``x_u`` to the farther end of that interval bounds the error.  And every
-vertex has the same sum as ``x``, so at a flat ``x`` the gap is 0 for
-every ``q``, and the solve ends without the call.  The solve stops as soon
-as a bound is at most ``epsilon``.  Between oracle calls, minor cycles move
-``x`` to the affine minimizer of the active vertices, dropping vertices
-whose weight reaches zero; the active set stays affinely independent, so
-the support never exceeds ``n``.
+error of every entry of the sorted vector.  Two cheaper bounds come before
+each oracle call.  Both ``x`` and ``x*`` give each individual a value
+between their worst and best attainable value, so the distance from ``x_u``
+to the farther end of that interval bounds the error.  That distance is at
+least half the interval, so this box bound is checked only when half the
+narrowest interval is within ``epsilon``; otherwise it could never end the
+solve.  And every vertex has the same sum as ``x``, so at a flat ``x`` the
+gap is 0 for every ``q``, and the solve ends without the call.  The solve
+stops as soon as a bound is at most ``epsilon``.  Between oracle calls,
+minor cycles move ``x`` to the affine minimizer of the active vertices,
+dropping vertices whose weight reaches zero; the active set stays affinely
+independent, so the support never exceeds ``n``.
 
 The affine steps read the inverse of ``P P^T + 1 1^T`` for the active rows
 ``P``, kept up to date as Wolfe kept his factor: bordered in O(k^2) when a
 vertex joins and downdated in O(k^2) when one leaves, so a minor cycle
 neither rebuilds the Gram matrix nor solves a linear system.  A vertex that
 is affinely dependent on the active set to float resolution stops the
-solve.
+solve.  From the second vertex on, ``P`` lives in one ``(n + 1) x n``
+buffer per solve and the inverse in two alternating ones, so a major cycle
+allocates no matrix unless a vertex leaves.  Products use ``ndarray.dot``:
+the same BLAS call as ``@``, with less dispatch per call.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ import numpy as np
 
 from .core import ConstraintSet, Instance, Ranking, ValueModel
 from .errors import IterationCapExceeded
-from .oracle import best_response
+from .oracle import _vertex
 
 logger = logging.getLogger(__name__)
 
@@ -195,9 +200,11 @@ def _check_mass(probabilities: Sequence[float]) -> None:
         raise ValueError(f"support probabilities sum to {total}, expected 1")
 
 
-def _bordered(inverse: np.ndarray, points: np.ndarray, q: np.ndarray):
+def _bordered(inverse: np.ndarray, points: np.ndarray, q: np.ndarray, out: np.ndarray):
     """``(P P^T + 1 1^T)^-1`` for the rows ``P = points`` with ``q``
-    appended, bordered from ``inverse``, the same matrix without ``q``.
+    appended, bordered from ``inverse``, the same matrix without ``q``, and
+    written to the front of the flat buffer ``out``, which must not hold
+    ``inverse``.
 
     Adding ``1 1^T`` keeps the matrix positive definite exactly while the
     rows stay affinely independent, so the Schur complement ``s`` of the
@@ -205,15 +212,15 @@ def _bordered(inverse: np.ndarray, points: np.ndarray, q: np.ndarray):
     Returns ``None`` when ``s`` is not above float resolution of
     ``q . q + 1``: ``q`` is then affinely dependent on the active rows.
     """
-    b = points @ q
+    b = points.dot(q)
     b += 1.0
-    t = inverse @ b
-    diag = float(q @ q) + 1.0
-    s = diag - float(b @ t)
+    t = inverse.dot(b)
+    diag = float(q.dot(q)) + 1.0
+    s = diag - float(b.dot(t))
     if not s > 1e-13 * diag:
         return None
     k = len(t)
-    grown = np.empty((k + 1, k + 1))
+    grown = out[: (k + 1) * (k + 1)].reshape(k + 1, k + 1)
     ts = t / s
     np.multiply.outer(t, ts, out=grown[:k, :k])
     grown[:k, :k] += inverse
@@ -250,10 +257,10 @@ def _affine_weights(inverse: np.ndarray, points: np.ndarray) -> np.ndarray:
     that brings the weights back to least-squares accuracy.
     """
     u = np.add.reduce(inverse, axis=1)
-    r = points @ (u @ points)
+    r = points.dot(u.dot(points))
     np.subtract(1.0, r, out=r)
     r -= np.add.reduce(u)
-    u += inverse @ r
+    u += inverse.dot(r)
     u /= np.add.reduce(u)
     return u
 
@@ -261,26 +268,25 @@ def _affine_weights(inverse: np.ndarray, points: np.ndarray) -> np.ndarray:
 def _minor_cycles(
     points: np.ndarray,
     weights: np.ndarray,
+    alpha: np.ndarray,
     active: list[Ranking],
     members: set[tuple[int, ...]],
     inverse: np.ndarray,
 ):
-    """Move the convex weights toward the active set's affine minimizer.
+    """Move the convex weights toward the active set's affine minimizer
+    ``alpha``, which has a weight at or below dust.
 
-    When the minimizer lies inside the active set's convex hull, its
-    weights are the answer.  Otherwise step from the current weights
-    toward it until the first weight reaches zero, drop that vertex, and
-    try again.  ``inverse`` is ``(P P^T + 1 1^T)^-1`` for ``P = points``
-    and is downdated as vertices leave; the orders of dropped rankings
-    leave ``members``.  Returns the surviving points, weights, rankings and
-    inverse, and the number of affine solves made.
+    Step from the current weights toward it until the first weight reaches
+    zero, drop that vertex, and solve again; when the minimizer lies inside
+    the active set's convex hull, its weights are the answer.  ``inverse``
+    is ``(P P^T + 1 1^T)^-1`` for ``P = points`` and is downdated as
+    vertices leave; the surviving rows move to the front of ``points``,
+    and the orders of dropped rankings leave ``members``.  Returns the
+    surviving points, weights, rankings and inverse, and the number of
+    affine solves made.
     """
     solves = 0
     while True:
-        alpha = _affine_weights(inverse, points)
-        solves += 1
-        if alpha.min() > _WEIGHT_DUST:
-            return points, alpha, active, inverse, solves
         falling = np.flatnonzero(alpha <= _WEIGHT_DUST)
         drop = weights[falling] - alpha[falling]
         ratios = np.divide(
@@ -292,10 +298,16 @@ def _minor_cycles(
         keep = weights > _WEIGHT_DUST
         keep[falling[first]] = False
         inverse = _without(inverse, keep)
-        points = points[keep]
+        kept = points[keep]
+        points = points[: len(kept)]
+        points[...] = kept
         members.difference_update(r.order for r, k in zip(active, keep) if not k)
         active = [r for r, k in zip(active, keep) if k]
         weights = weights[keep] / weights[keep].sum()
+        alpha = _affine_weights(inverse, points)
+        solves += 1
+        if alpha.min() > _WEIGHT_DUST:
+            return points, alpha, active, inverse, solves
 
 
 def _levels(x: np.ndarray, bound: float) -> list[float]:
@@ -356,69 +368,101 @@ def solve_maxmin(
     if value_model.n != instance.n:
         raise ValueError("value model does not match the instance size")
     eps = config.epsilon
+    n = instance.n
+    merit = instance.merit_position
     f, g = value_model._f, value_model._g
     lowest, highest = f[-1] - g, f[0] - g
+    # The box bound is at least half of each individual's range, so it can
+    # end the solve only when half the narrowest range is within epsilon;
+    # the margin covers the rounding of the range and of the bound.
+    box_can_stop = 0.5 * float((highest - lowest).min()) <= eps * (1.0 + 1e-9)
     calls = 0
     solves = 0
-    bound = math.inf
+    # The last oracle call's gap and the x it was measured at.
+    gap, gap_at = math.inf, None
+
+    def box(x: np.ndarray) -> float:
+        return float(np.maximum(x - lowest, highest - x).max())
 
     def stalled(reason: str) -> IterationCapExceeded:
+        bound = gap if gap_at is None else min(box(gap_at), gap)
         return IterationCapExceeded(
             f"solver stalled: {reason} after {calls} oracle calls, "
             f"certified bound {bound:.6g} > epsilon {eps:g}"
         )
 
-    def vertex(weights: np.ndarray) -> tuple[Ranking, np.ndarray]:
+    def vertex(order: Sequence[int]) -> tuple[Ranking, np.ndarray]:
         nonlocal calls
         if calls >= _ORACLE_CALL_CAP:
             raise stalled(f"reached the cap of {_ORACLE_CALL_CAP} oracle calls")
         calls += 1
-        res = best_response(instance, constraints, value_model, weights)
-        return res.ranking, res.values
+        return _vertex(instance, constraints, value_model, order)
 
-    ranking, q = vertex(np.zeros(instance.n))
+    # Zero weights sort into the merit order.
+    ranking, q = vertex(instance.merit_order)
     active = [ranking]
     members = {ranking.order}
     points = q[None, :]
     weights = np.ones(1)
-    norm = float(q @ q)
+    norm = float(q.dot(q))
     inverse = np.array([[1.0 / (norm + 1.0)]])
+    buffer = None
     max_active = 1
     x = q
     while True:
-        box = float(np.maximum(x - lowest, highest - x).max())
-        if box <= eps:
-            bound, stop = box, "box"
-            break
-        w = x.max() - x
-        if not w.any():
+        if box_can_stop:
+            bound = box(x)
+            if bound <= eps:
+                stop = "box"
+                break
+        # Descending weight max(x) - x; NaN sorts last, so the two ends
+        # bound every weight.
+        shifted = x - x.max()
+        order = np.lexsort((merit, shifted)).tolist()
+        heaviest, lightest = shifted[order[0]], shifted[order[-1]]
+        if not (lightest <= 0 and heaviest > -math.inf):
+            raise ValueError("weights must be finite and nonnegative")
+        if heaviest == 0:
             # Every vertex has the sum of a flat x, so x . (x - q) = 0.
             bound, stop = 0.0, "gap"
             break
-        ranking, q = vertex(w)
-        bound = min(box, math.sqrt(max(0.0, float(x @ (x - q)))))
-        if bound <= eps:
-            stop = "gap"
+        ranking, q = vertex(order)
+        gap, gap_at = math.sqrt(max(0.0, float(x.dot(x - q)))), x
+        if gap <= eps:
+            bound, stop = gap, "gap"
             break
         if ranking.order in members:
             raise stalled("the oracle returned an active vertex")
-        inverse = _bordered(inverse, points, q)
+        k = len(active)
+        if buffer is None:
+            # At most n affinely independent rows, and one joining them.
+            buffer = np.empty((n + 1, n))
+            buffer[0] = points[0]
+            points = buffer[:1]
+            spare, held = np.empty((n + 1) ** 2), np.empty((n + 1) ** 2)
+        inverse = _bordered(inverse, points, q, spare)
         if inverse is None:
             raise stalled("singular active set in an affine step")
+        spare, held = held, spare
+        points = buffer[: k + 1]
+        points[k] = q
         active.append(ranking)
         members.add(ranking.order)
-        max_active = max(max_active, len(active))
-        points = np.concatenate((points, q[None, :]))
-        weights = np.concatenate((weights, (0.0,)))
-        points, weights, active, inverse, used = _minor_cycles(
-            points, weights, active, members, inverse
-        )
-        solves += used
-        x = weights @ points
-        shorter = float(x @ x)
+        max_active = max(max_active, k + 1)
+        alpha = _affine_weights(inverse, points)
+        solves += 1
+        if alpha.min() > _WEIGHT_DUST:
+            weights = alpha
+        else:
+            points, weights, active, inverse, used = _minor_cycles(
+                points, np.append(weights, 0.0), alpha, active, members, inverse
+            )
+            solves += used
+        shorter_x = weights.dot(points)
+        shorter = float(shorter_x.dot(shorter_x))
         if not shorter < norm:
             raise stalled("a major cycle did not shorten x")
-        norm = shorter
+        x, norm = shorter_x, shorter
 
     distribution = FairDistribution(
         instance,

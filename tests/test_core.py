@@ -87,6 +87,12 @@ def test_ranking_from_ids_needs_a_permutation_of_the_roster():
     assert Ranking.from_ids(inst, ["d", "c", "b", "a"]).order == (3, 2, 1, 0)
 
 
+def test_index_of_refuses_an_unknown_id(eight):
+    assert eight.index_of("u3") == 2
+    with pytest.raises(ValueError, match=r"^unknown id 'zz'$"):
+        eight.index_of("zz")
+
+
 def test_is_valid_refuses_a_ranking_of_another_length(eight, eight_lower):
     vacuous = ConstraintSet.vacuous(eight)
     for order in ([0, 1, 2], list(range(9))):
@@ -148,6 +154,12 @@ def test_values_matches_value_pointwise(eight):
         assert vals[idx] == pytest.approx(
             model.position_scores[pos - 1] - model.merit_scores[idx]
         )
+
+
+def test_values_refuse_a_ranking_of_another_length(eight, eight_model):
+    for order in ([0], [0, 1, 2], list(range(9))):
+        with pytest.raises(ValueError, match="positions, the value model 8"):
+            eight_model.values(Ranking(order))
 
 
 def test_floor_balanced_lower_bounds(eight, eight_lower):
@@ -230,6 +242,17 @@ def test_build_rule_constraints_dispatch(eight):
     assert balanced == floor_balanced_constraints(eight)
     with pytest.raises(ValueError):
         build_rule_constraints(eight, "no-such-rule")
+
+
+def test_bounds_past_int64_raise_value_error():
+    """Like every other bad bound, and unlike numpy's ``OverflowError``."""
+    tables = [
+        ([[10**30, 1]], None, "upper"),
+        ([[1, 1]], [[-(10**30), 0]], "lower"),
+    ]
+    for upper, lower, name in tables:
+        with pytest.raises(ValueError, match=f"^{name} bounds must fit in 64-bit integers$"):
+            ConstraintSet(upper, lower)
 
 
 def test_infeasible_lower_exceeds_upper():

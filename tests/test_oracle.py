@@ -174,32 +174,48 @@ def test_release_fill_matches_the_position_scan():
     raises the same error naming the same empty position when the caps
     cannot be met."""
     rng = np.random.default_rng(17)
+
+    def raises_as_the_scan(inst, cons, weights):
+        order = weight_order_key(inst, weights)
+        try:
+            want = greedy_fill_scan(inst, cons, order)
+        except InfeasibleConstraints as exc:
+            with pytest.raises(InfeasibleConstraints) as got:
+                _greedy_fill(inst, cons, order)
+            assert str(got.value) == str(exc)
+            return True
+        got = _greedy_fill(inst, cons, order)
+        assert got.order == want.order
+        assert sorted(got.order) == list(range(inst.n))
+        assert all(got.position[u] == p for p, u in enumerate(got.order, start=1))
+        return False
+
+    def cut_caps(inst, share):
+        vacuous = np.array(ConstraintSet.vacuous(inst).upper)
+        cuts = rng.integers(0, 3, size=vacuous.shape) * (rng.random(vacuous.shape) < share)
+        return ConstraintSet(vacuous - cuts)
+
     raised = 0
     for k in range(600):
         n = int(rng.integers(1, 41))
         inst = random_instance(rng, n=n, groups=int(rng.integers(1, 4)))
-        vacuous = np.array(ConstraintSet.vacuous(inst).upper)
-        cuts = rng.integers(0, 3, size=vacuous.shape) * (rng.random(vacuous.shape) < 0.1)
-        cons = ConstraintSet(vacuous - cuts)
+        cons = cut_caps(inst, 0.1)
         weights = [
             rng.uniform(0.0, 1.0, n),
             rng.integers(0, 3, n).astype(float),
             np.zeros(n),
         ][k % 3]
-        order = weight_order_key(inst, weights)
-        try:
-            want = greedy_fill_scan(inst, cons, order)
-        except InfeasibleConstraints as exc:
-            raised += 1
-            with pytest.raises(InfeasibleConstraints) as got:
-                _greedy_fill(inst, cons, order)
-            assert str(got.value) == str(exc)
-            continue
-        got = _greedy_fill(inst, cons, order)
-        assert got.order == want.order
-        assert sorted(got.order) == list(range(n))
-        assert all(got.position[u] == p for p, u in enumerate(got.order, start=1))
+        raised += raises_as_the_scan(inst, cons, weights)
     assert 100 < raised < 500
+    # Weights that put whole groups first fill long runs of positions, so
+    # each later group's search crosses many taken ones.
+    placed = 0
+    for _ in range(20):
+        n = int(rng.integers(100, 301))
+        inst = random_instance(rng, n=n, groups=int(rng.integers(2, 4)))
+        weights = inst.group_of + rng.uniform(0.0, 0.5, n)
+        placed += not raises_as_the_scan(inst, cut_caps(inst, 0.01), weights)
+    assert placed >= 5
 
 
 @given(ranking_cases(floors=True), st.data())

@@ -239,6 +239,20 @@ def test_worked_example_oracle_calls_by_epsilon(eight, eight_upper, eight_model)
     assert calls == [6, 4, 3, 2, 1]
 
 
+def test_box_bound_ends_a_loose_worked_example(eight, eight_upper, eight_model, caplog):
+    """Every position-diff value of the eight spans 7, so the box bound is
+    at least 3.5 and is checked only from epsilon 3.5 up.  At epsilon 10
+    the first vertex's box bound of 7 ends the solve; at 5 it does not,
+    and the second call's gap does."""
+    for eps, calls, tail in ((10.0, 1, " bound=7 stop=box"), (5.0, 2, " stop=gap")):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="fairrank.solver"):
+            solve_maxmin(eight, eight_upper, eight_model, SolverConfig(epsilon=eps))
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "fairrank.solver"]
+        assert f" oracle_calls={calls} " in line
+        assert line.endswith(tail)
+
+
 def test_iteration_cap_raises(eight, eight_upper, eight_model, monkeypatch):
     assert fairrank.solver._ORACLE_CALL_CAP == 50_000_000
     monkeypatch.setattr(fairrank.solver, "_ORACLE_CALL_CAP", 1)
@@ -254,11 +268,16 @@ def _lstsq_affine_minimizer(points):
     return np.concatenate(([1.0 - beta.sum()], beta))
 
 
+def _border(inverse, points, q):
+    """``_bordered`` into a fresh buffer, so no two inverses share memory."""
+    return _bordered(inverse, points, q, np.empty((len(points) + 1) ** 2))
+
+
 def _grown(points):
     """The maintained inverse for ``points``, bordered one row at a time."""
     inverse = np.array([[1.0 / (points[0] @ points[0] + 1.0)]])
     for k in range(1, len(points)):
-        inverse = _bordered(inverse, points[:k], points[k])
+        inverse = _border(inverse, points[:k], points[k])
     return inverse
 
 
@@ -278,7 +297,7 @@ def test_maintained_inverse_matches_least_squares():
         for _ in range(12):
             if len(points) < n and rng.random() < 0.6:
                 q = rng.normal(size=n) * scale
-                inverse = _bordered(inverse, points, q)
+                inverse = _border(inverse, points, q)
                 points = np.concatenate((points, q[None, :]))
             elif len(points) > 1:
                 keep = rng.random(len(points)) < 0.7
@@ -307,24 +326,24 @@ def test_maintained_inverse_matches_least_squares():
     assert np.abs(alpha @ points - reference).max() <= 1e-9
     # The midpoint itself is affinely dependent: bordering refuses it.
     mid = 0.5 * (points[0] + points[1])
-    assert _bordered(_grown(points[:5]), points[:5], mid) is None
+    assert _border(_grown(points[:5]), points[:5], mid) is None
 
 
-def _count_order_keys(monkeypatch):
+def _count_calls(monkeypatch, module, name):
     seen = []
-    key = fairrank.oracle.weight_order_key
+    real = getattr(module, name)
 
     def counted(*args, **kwargs):
         seen.append(1)
-        return key(*args, **kwargs)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(fairrank.oracle, "weight_order_key", counted)
-    # Also count a sort made by the solver itself under that name.
-    monkeypatch.setattr(fairrank.solver, "weight_order_key", counted, raising=False)
+    monkeypatch.setattr(module, name, counted)
     return seen
 
 
 def test_one_weight_sort_per_oracle_call(eight, eight_upper, eight_model, monkeypatch):
+    """The solver sorts its weights once per oracle call and hands the
+    order to ``_vertex``; it never sorts again through the public oracle."""
     rng = np.random.default_rng(21)
     inst = random_instance(rng, n=9, groups=3)
     cons = random_upper_constraints(rng, inst)
@@ -333,10 +352,12 @@ def test_one_weight_sort_per_oracle_call(eight, eight_upper, eight_model, monkey
         (inst, cons, ValueModel.log_ratio(inst)),
     ]
     for instance, constraints, model in cases:
-        seen = _count_order_keys(monkeypatch)
+        vertices = _count_calls(monkeypatch, fairrank.solver, "_vertex")
+        keys = _count_calls(monkeypatch, fairrank.oracle, "weight_order_key")
         dist = solve_maxmin(instance, constraints, model)
         assert dist.oracle_calls > 1
-        assert len(seen) == dist.oracle_calls
+        assert len(vertices) == dist.oracle_calls
+        assert keys == []
 
 
 def test_singular_active_set_raises(eight, eight_upper, eight_model, monkeypatch):
@@ -345,20 +366,17 @@ def test_singular_active_set_raises(eight, eight_upper, eight_model, monkeypatch
     on, but the new vertex is affinely dependent on the active set to
     float resolution."""
     calls = []
-    real = fairrank.solver.best_response
+    real = fairrank.solver._vertex
 
-    def dependent(instance, constraints, model, weights):
-        res = real(instance, constraints, model, weights)
-        calls.append(res.values)
+    def dependent(instance, constraints, model, order):
+        ranking, values = real(instance, constraints, model, order)
+        calls.append(values)
         if len(calls) == 2:
             first = calls[0]
-            values = first + 1e-9 * (res.values - first)
-            return fairrank.oracle.OracleResult(
-                res.ranking, values, float(weights @ values)
-            )
-        return res
+            return ranking, first + 1e-9 * (values - first)
+        return ranking, values
 
-    monkeypatch.setattr(fairrank.solver, "best_response", dependent)
+    monkeypatch.setattr(fairrank.solver, "_vertex", dependent)
     with pytest.raises(IterationCapExceeded, match="singular active set"):
         solve_maxmin(eight, eight_upper, eight_model, SolverConfig(epsilon=1e-8))
     assert len(calls) == 2
@@ -369,16 +387,14 @@ def test_returned_active_vertex_raises(eight, eight_upper, eight_model, monkeypa
     values: the gap stays positive, so the solve goes on, but the vertex
     is already active."""
     calls = []
-    real = fairrank.solver.best_response
+    real = fairrank.solver._vertex
 
-    def repeated(instance, constraints, model, weights):
-        res = real(instance, constraints, model, weights)
-        calls.append(res.ranking)
-        if len(calls) == 2:
-            return fairrank.oracle.OracleResult(calls[0], res.values, res.objective)
-        return res
+    def repeated(instance, constraints, model, order):
+        ranking, values = real(instance, constraints, model, order)
+        calls.append(ranking)
+        return calls[0], values
 
-    monkeypatch.setattr(fairrank.solver, "best_response", repeated)
+    monkeypatch.setattr(fairrank.solver, "_vertex", repeated)
     with pytest.raises(
         IterationCapExceeded,
         match=r"the oracle returned an active vertex after 2 oracle calls, "
@@ -389,13 +405,20 @@ def test_returned_active_vertex_raises(eight, eight_upper, eight_model, monkeypa
 
 
 def test_unshortened_major_cycle_raises(eight, eight_upper, eight_model, monkeypatch):
-    """Minor cycles that keep the old weights (the new vertex at weight
-    zero) leave ``x`` where it was."""
+    """Affine weights that all clear the dust, so the drop path never runs,
+    but that put nearly all the mass on the active vertex farthest from
+    the origin leave ``x`` no shorter than it was."""
 
-    def unchanged(points, weights, active, members, inverse):
-        return points, weights, active, inverse, 1
+    def farthest(inverse, points):
+        alpha = np.full(len(points), 1e-9)
+        alpha[np.argmax(np.einsum("ij,ij->i", points, points))] += 1.0 - alpha.sum()
+        return alpha
 
-    monkeypatch.setattr(fairrank.solver, "_minor_cycles", unchanged)
+    def no_drops(*args):
+        raise AssertionError("the drop path ran")
+
+    monkeypatch.setattr(fairrank.solver, "_affine_weights", farthest)
+    monkeypatch.setattr(fairrank.solver, "_minor_cycles", no_drops)
     with pytest.raises(
         IterationCapExceeded,
         match=r"a major cycle did not shorten x after 2 oracle calls, "
