@@ -31,7 +31,7 @@ from .errors import (
     IterationCapExceeded,
     ParseError,
 )
-from .oracle import OracleResult, best_response, weight_order_key
+from .oracle import best_response
 from .baseline import baseline_min_value, deterministic_baseline
 from .analysis import (
     FairDecomposition,
@@ -70,8 +70,6 @@ __all__ = [
     "build_rule_constraints",
     "to_upper_only",
     "is_feasible",
-    "OracleResult",
-    "weight_order_key",
     "best_response",
     "deterministic_baseline",
     "baseline_min_value",

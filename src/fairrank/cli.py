@@ -219,7 +219,8 @@ def distribution_from_dict(
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    """A text input file; a leading UTF-8 byte-order mark is dropped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return fh.read()
 
 

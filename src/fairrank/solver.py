@@ -29,23 +29,28 @@ each oracle call.  Both ``x`` and ``x*`` give each individual a value
 between their worst and best attainable value, so the distance from ``x_u``
 to the farther end of that interval bounds the error.  That distance is at
 least half the interval, so this box bound is checked only when half the
-narrowest interval is within ``epsilon``; otherwise it could never end the
-solve.  And every vertex has the same sum as ``x``, so at a flat ``x`` the
-gap is 0 for every ``q``, and the solve ends without the call.  The solve
-stops as soon as a bound is at most ``epsilon``.  Between oracle calls,
-minor cycles move ``x`` to the affine minimizer of the active vertices,
-dropping vertices whose weight reaches zero; the active set stays affinely
-independent, so the support never exceeds ``n``.
+narrowest interval, which each value model computes once, is within
+``epsilon``; otherwise it could never end the solve, and the interval ends
+are never built.  And every vertex has the same sum as ``x``, so at a flat
+``x`` the gap is 0 for every ``q``, and the solve ends without the call.
+The solve stops as soon as a bound is at most ``epsilon``.  Between oracle
+calls, minor cycles move ``x`` to the affine minimizer of the active
+vertices, dropping vertices whose weight reaches zero; the active set stays
+affinely independent, so the support never exceeds ``n``.
 
 The affine steps read the inverse of ``P P^T + 1 1^T`` for the active rows
 ``P``, kept up to date as Wolfe kept his factor: bordered in O(k^2) when a
 vertex joins and downdated in O(k^2) when one leaves, so a minor cycle
 neither rebuilds the Gram matrix nor solves a linear system.  A vertex that
 is affinely dependent on the active set to float resolution stops the
-solve.  From the second vertex on, ``P`` lives in one ``(n + 1) x n``
-buffer per solve and the inverse in two alternating ones, so a major cycle
-allocates no matrix unless a vertex leaves.  Products use ``ndarray.dot``:
-the same BLAS call as ``@``, with less dispatch per call.
+solve.  The active set's state starts when the second vertex joins: ``P``
+then lives in one ``(n + 1) x n`` buffer per solve and the inverse in two
+alternating ones, so a major cycle allocates no matrix unless a vertex
+leaves, and a solve that ends at its first vertex builds none of them.
+Products use ``ndarray.dot``: the same BLAS call as ``@``, with less
+dispatch per call.  The returned distribution takes the final active set
+as it stands: its rankings are distinct, so no merge is needed, and its
+rows are gathered from the buffer in one ``take``.
 """
 
 from __future__ import annotations
@@ -115,10 +120,17 @@ class FairDistribution:
 
     Duplicate rankings are merged, atoms of probability zero skipped and
     probabilities renormalized at construction, so ``expected`` always
-    matches the support exactly; a negative probability is refused.
+    matches the support exactly; a negative probability is refused.  Atoms
+    are sorted by decreasing probability, ties by ranking order.
     ``lambda_phases`` records the distinct satisfaction levels in raw value
     units; ``oracle_calls`` counts every greedy-oracle consultation made
     while producing the distribution.
+
+    The solver builds its result through :meth:`_from_active`, which skips
+    the merge (its active rankings are distinct and carry positive weight)
+    and gathers the rows from its own buffer.  Both entries share
+    :meth:`_assemble`, so the constructor given the solver's rankings,
+    weights and rows returns the same bits.
     """
 
     __slots__ = (
@@ -149,22 +161,69 @@ class FairDistribution:
                 merged[ranking.order] = [ranking, float(prob), values]
             else:
                 entry[1] += float(prob)
-        total = sum(entry[1] for entry in merged.values())
-        entries = sorted(merged.values(), key=lambda e: (-e[1], e[0].order))
-        probabilities = [e[1] / total for e in entries]
+        entries = list(merged.values())
         rows = np.array([e[2] for e in entries], dtype=float)
         if rows.shape != (len(entries), instance.n):
             raise ValueError(
                 f"support values have shape {rows.shape}, expected "
                 f"{(len(entries), instance.n)}"
             )
+        probabilities = [e[1] for e in entries]
+        self._assemble(
+            instance, [e[0] for e in entries], probabilities, sum(probabilities),
+            rows, lambda_phases, oracle_calls, epsilon,
+        )
+
+    @classmethod
+    def _from_active(
+        cls,
+        instance: Instance,
+        rankings: list[Ranking],
+        probabilities: list[float],
+        rows: np.ndarray,
+        lambda_phases: Sequence[float],
+        oracle_calls: int,
+        epsilon: float,
+    ) -> "FairDistribution":
+        """The solver's entry: distinct ``rankings`` with positive
+        ``probabilities`` and their values as the rows of ``rows``, with the
+        mass checked as the public constructor checks it."""
+        self = cls.__new__(cls)
+        total = _check_mass(probabilities)
+        self._assemble(
+            instance, rankings, probabilities, total, rows, lambda_phases,
+            oracle_calls, epsilon,
+        )
+        return self
+
+    def _assemble(
+        self,
+        instance: Instance,
+        rankings: list[Ranking],
+        probabilities: list[float],
+        total: float,
+        rows: np.ndarray,
+        lambda_phases: Sequence[float],
+        oracle_calls: int,
+        epsilon: float | None,
+    ) -> None:
+        """Sort distinct atoms by ``(-probability, order)``, divide by
+        ``total`` (summed in the caller's input order) and gather the rows,
+        with the same floats for either entry."""
+        ranked = sorted(
+            range(len(rankings)), key=lambda i: (-probabilities[i], rankings[i].order)
+        )
+        probabilities = [probabilities[i] / total for i in ranked]
+        rows = rows.take(ranked, axis=0)
         rows.setflags(write=False)
         self.instance = instance
-        self.atoms = tuple(map(RankedAtom, [e[0] for e in entries], probabilities, rows))
-        expected = np.array(probabilities) @ rows
+        self.atoms = tuple(
+            map(RankedAtom, [rankings[i] for i in ranked], probabilities, rows)
+        )
+        expected = np.array(probabilities).dot(rows)
         expected.setflags(write=False)
         self.expected = expected
-        self.lambda_phases = tuple(float(x) for x in lambda_phases)
+        self.lambda_phases = tuple(map(float, lambda_phases))
         self.oracle_calls = int(oracle_calls)
         self.epsilon = epsilon
 
@@ -189,15 +248,17 @@ class FairDistribution:
         )
 
 
-def _check_mass(probabilities: Sequence[float]) -> None:
+def _check_mass(probabilities: Sequence[float]) -> float:
     """Refuse support probabilities unless each is at least zero and they
-    sum to one within ``_MASS_TOLERANCE`` (so each is also finite)."""
+    sum to one within ``_MASS_TOLERANCE`` (so each is also finite); returns
+    their sum, taken in the given order."""
     for k, prob in enumerate(probabilities):
         if not prob >= 0:
             raise ValueError(f"support atom {k} has probability {prob}, expected >= 0")
     total = sum(probabilities)
     if not math.isclose(total, 1.0, rel_tol=0, abs_tol=_MASS_TOLERANCE):
         raise ValueError(f"support probabilities sum to {total}, expected 1")
+    return total
 
 
 def _bordered(inverse: np.ndarray, points: np.ndarray, q: np.ndarray, out: np.ndarray):
@@ -370,19 +431,18 @@ def solve_maxmin(
     eps = config.epsilon
     n = instance.n
     merit = instance.merit_position
-    f, g = value_model._f, value_model._g
-    lowest, highest = f[-1] - g, f[0] - g
     # The box bound is at least half of each individual's range, so it can
     # end the solve only when half the narrowest range is within epsilon;
     # the margin covers the rounding of the range and of the bound.
-    box_can_stop = 0.5 * float((highest - lowest).min()) <= eps * (1.0 + 1e-9)
+    box_can_stop = value_model._half_range <= eps * (1.0 + 1e-9)
     calls = 0
     solves = 0
     # The last oracle call's gap and the x it was measured at.
     gap, gap_at = math.inf, None
 
     def box(x: np.ndarray) -> float:
-        return float(np.maximum(x - lowest, highest - x).max())
+        f, g = value_model._f, value_model._g
+        return float(np.maximum(x - (f[-1] - g), (f[0] - g) - x).max())
 
     def stalled(reason: str) -> IterationCapExceeded:
         bound = gap if gap_at is None else min(box(gap_at), gap)
@@ -402,10 +462,6 @@ def solve_maxmin(
     ranking, q = vertex(instance.merit_order)
     active = [ranking]
     members = {ranking.order}
-    points = q[None, :]
-    weights = np.ones(1)
-    norm = float(q.dot(q))
-    inverse = np.array([[1.0 / (norm + 1.0)]])
     buffer = None
     max_active = 1
     x = q
@@ -415,18 +471,18 @@ def solve_maxmin(
             if bound <= eps:
                 stop = "box"
                 break
-        # Descending weight max(x) - x; NaN sorts last, so the two ends
-        # bound every weight.
-        shifted = x - x.max()
-        order = np.lexsort((merit, shifted)).tolist()
-        heaviest, lightest = shifted[order[0]], shifted[order[-1]]
-        if not (lightest <= 0 and heaviest > -math.inf):
+        # Weights max(x) - x: a NaN or infinite entry of x leaves a NaN or
+        # -inf in ``shifted``, and both propagate to its minimum.
+        shifted = x - np.maximum.reduce(x)
+        heaviest = np.minimum.reduce(shifted)
+        if not heaviest > -math.inf:
             raise ValueError("weights must be finite and nonnegative")
         if heaviest == 0:
             # Every vertex has the sum of a flat x, so x . (x - q) = 0.
             bound, stop = 0.0, "gap"
             break
-        ranking, q = vertex(order)
+        # Descending weight, ties in merit order.
+        ranking, q = vertex(np.lexsort((merit, shifted)).tolist())
         gap, gap_at = math.sqrt(max(0.0, float(x.dot(x - q)))), x
         if gap <= eps:
             bound, stop = gap, "gap"
@@ -435,10 +491,14 @@ def solve_maxmin(
             raise stalled("the oracle returned an active vertex")
         k = len(active)
         if buffer is None:
-            # At most n affinely independent rows, and one joining them.
+            # The active set so far is the first vertex, still x.  At most
+            # n affinely independent rows, and one joining them.
             buffer = np.empty((n + 1, n))
-            buffer[0] = points[0]
+            buffer[0] = x
             points = buffer[:1]
+            weights = np.ones(1)
+            norm = float(x.dot(x))
+            inverse = np.array([[1.0 / (norm + 1.0)]])
             spare, held = np.empty((n + 1) ** 2), np.empty((n + 1) ** 2)
         inverse = _bordered(inverse, points, q, spare)
         if inverse is None:
@@ -464,12 +524,12 @@ def solve_maxmin(
             raise stalled("a major cycle did not shorten x")
         x, norm = shorter_x, shorter
 
-    distribution = FairDistribution(
-        instance,
-        zip(active, weights.tolist(), points),
-        lambda_phases=_levels(x, bound),
-        oracle_calls=calls,
-        epsilon=eps,
+    if buffer is None:
+        probabilities, points = [1.0], x[None, :]
+    else:
+        probabilities = weights.tolist()
+    distribution = FairDistribution._from_active(
+        instance, active, probabilities, points, _levels(x, bound), calls, eps
     )
     logger.info(
         "solve_maxmin n=%d oracle_calls=%d iterations=%d support=%d "

@@ -13,7 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from fairrank import InfeasibleConstraints, Ranking, best_response, weight_order_key
+from fairrank import InfeasibleConstraints, Ranking, best_response
+from fairrank.oracle import weight_order_key
 from fairrank.analysis import _FLOAT_TIE_TOL
 from fairrank.core import to_upper_only
 

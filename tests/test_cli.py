@@ -366,6 +366,35 @@ def test_rule_file_solves_like_the_rule_flags(eight_csv, tmp_path, capsys):
     assert "protected group" in payload["error"]["message"]
 
 
+def test_byte_order_mark_is_ignored_in_every_input_file(eight_csv, tmp_path, capsys):
+    """A UTF-8 byte-order mark, as spreadsheet programs write one, reads
+    like the same file without it: roster CSV, constraint JSON and stored
+    distribution alike."""
+    spec = json.dumps({"rule": "ceil-alpha", "alpha": 0.3, "protected": "F"})
+    plain_rule = tmp_path / "rule.json"
+    plain_rule.write_text(spec, encoding="utf-8")
+    marked_csv = tmp_path / "marked.csv"
+    marked_csv.write_text(EIGHT_CSV, encoding="utf-8-sig")
+    marked_rule = tmp_path / "marked.json"
+    marked_rule.write_text(spec, encoding="utf-8-sig")
+    assert marked_csv.read_bytes().startswith(b"\xef\xbb\xbf")
+
+    outputs = []
+    for roster, rule in ((eight_csv, plain_rule), (marked_csv, marked_rule)):
+        assert run(["solve", "--input", str(roster), "--constraints", str(rule)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+    stored = tmp_path / "dist.json"
+    stored.write_text(outputs[0], encoding="utf-8-sig")
+    code, metrics = run_json(capsys, [
+        "metrics", "--input", str(marked_csv), "--constraints", str(marked_rule),
+        "--distribution", str(stored),
+    ])
+    assert code == 0
+    assert metrics["expected_satisfaction"] == json.loads(outputs[0])["expected_satisfaction"]
+
+
 def test_solve_with_the_top_k_value_function(eight_csv, capsys):
     code, payload = run_json(capsys, [
         "solve", "--input", eight_csv, "--rule", "floor-balanced",

@@ -21,10 +21,9 @@ from fairrank import (
     is_feasible,
     max_total_value,
     merit_ranking,
-    weight_order_key,
 )
 
-from fairrank.oracle import _greedy_fill
+from fairrank.oracle import _greedy_fill, weight_order_key
 
 from conftest import (
     random_instance, random_upper_constraints, random_weights, ranking_cases,

@@ -2,6 +2,8 @@
 
 import dataclasses
 import logging
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -251,6 +253,34 @@ def test_box_bound_ends_a_loose_worked_example(eight, eight_upper, eight_model, 
         (line,) = [r.getMessage() for r in caplog.records if r.name == "fairrank.solver"]
         assert f" oracle_calls={calls} " in line
         assert line.endswith(tail)
+
+
+def test_box_bound_ends_a_solve_at_half_the_range(caplog):
+    """Two people, position scores 2 and 0, equal merit offsets: every
+    range is 2, so half the narrowest range is 1, and at epsilon 1 the box
+    bound is checked.  The second vertex mirrors the first, the affine
+    step lands on the midpoint (1, 1) less the offset, and the box bound
+    there is exactly 1 = epsilon.  Offsets of 2**20, about 1e6 above the
+    range (a power of two, so every value stays exact), give the same
+    guard, stop and bound; an epsilon just below ends at the flat midpoint
+    on the gap instead.  An empty model still constructs."""
+    inst = Instance.from_rows([("a", "A", 0.9), ("b", "B", 0.1)])
+    cons = ConstraintSet.vacuous(inst)
+    runs = ((0.0, 1.0, " bound=1 stop=box"), (2.0**20, 1.0, " bound=1 stop=box"),
+            (0.0, 1.0 - 1e-12, " bound=0 stop=gap"))
+    for offset, eps, tail in runs:
+        model = ValueModel.custom([2.0, 0.0], [offset, offset])
+        assert model._half_range == 1.0
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="fairrank.solver"):
+            dist = solve_maxmin(inst, cons, model, SolverConfig(epsilon=eps))
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "fairrank.solver"]
+        assert " oracle_calls=2 " in line
+        assert line.endswith(tail)
+        assert dist.expected.tolist() == [1.0 - offset] * 2
+    empty = ValueModel.custom([], [])
+    assert empty.n == 0
+    assert empty._half_range == math.inf
 
 
 def test_iteration_cap_raises(eight, eight_upper, eight_model, monkeypatch):
@@ -544,3 +574,64 @@ def test_distribution_validates_probabilities(eight, eight_model):
     assert zero.support_size == 1
     with pytest.raises(ValueError):
         FairDistribution(eight, [])
+
+
+@given(ranking_cases(floors=True))
+@settings(max_examples=200, deadline=None)
+def test_solver_and_public_entries_assemble_the_same_bits(case):
+    """The solver's private entry and the public constructor share one
+    assembly tail, so given the solver's own rankings, weights and rows the
+    public constructor returns the same atom orders, probability bits,
+    value rows and ``expected`` bytes.  Rebuilding from the stored atoms
+    renormalizes probabilities whose float sum may sit an ulp off one, so
+    that round trip keeps the orders and moves a probability by at most a
+    few ulps."""
+    inst, cons, model = case
+    entries = []
+    solver_entry = FairDistribution._from_active.__func__
+
+    def recorded(cls, *args):
+        entries.append(args)
+        return solver_entry(cls, *args)
+
+    with mock.patch.object(FairDistribution, "_from_active", classmethod(recorded)):
+        dist = solve_maxmin(inst, cons, model, SolverConfig(epsilon=1e-3))
+    ((instance, rankings, probabilities, rows, phases, calls, eps),) = entries
+    public = FairDistribution(instance, zip(rankings, probabilities, rows), phases, calls, eps)
+    rebuilt = FairDistribution(
+        inst, [(a.ranking, a.probability, a.values) for a in dist.atoms]
+    )
+    for other in (public, rebuilt):
+        assert [a.ranking.order for a in other.atoms] == [a.ranking.order for a in dist.atoms]
+    assert [a.probability.hex() for a in public.atoms] == [
+        a.probability.hex() for a in dist.atoms
+    ]
+    assert [a.values.tobytes() for a in public.atoms] == [
+        a.values.tobytes() for a in dist.atoms
+    ]
+    assert public.expected.tobytes() == dist.expected.tobytes()
+    assert (public.lambda_phases, public.oracle_calls, public.epsilon) == (
+        dist.lambda_phases, dist.oracle_calls, dist.epsilon,
+    )
+    assert [a.probability for a in rebuilt.atoms] == pytest.approx(
+        [a.probability for a in dist.atoms], rel=1e-15, abs=0
+    )
+    assert not dist.expected.flags.writeable
+    assert not any(a.values.flags.writeable for a in dist.atoms)
+
+
+def test_solver_entry_checks_the_mass(eight, eight_model):
+    """The solver's private entry refuses what the public constructor
+    refuses: weights that sum to one only within 1e-6, or a negative one."""
+    from fairrank import merit_ranking
+
+    r = merit_ranking(eight)
+    rows = eight_model.values(r)[None, :]
+    with pytest.raises(ValueError, match="sum to"):
+        FairDistribution._from_active(eight, [r], [1.0 + 1e-6], rows, (), 1, 0.01)
+    with pytest.raises(ValueError, match="sum to"):
+        FairDistribution._from_active(eight, [r], [1.0 - 1e-6], rows, (), 1, 0.01)
+    with pytest.raises(ValueError, match="support atom 0 .* probability -1"):
+        FairDistribution._from_active(eight, [r], [-1.0], rows, (), 1, 0.01)
+    dist = FairDistribution._from_active(eight, [r], [1.0 + 5e-10], rows, (), 1, 0.01)
+    assert dist.atoms[0].probability == 1.0
