@@ -233,9 +233,7 @@ class ValueModel:
       value is -1, 0 or +1 depending on crossing the top-``k`` boundary.
     """
 
-    __slots__ = (
-        "kind", "position_scores", "merit_scores", "_f", "_g", "_scores", "_half_range",
-    )
+    __slots__ = ("kind", "position_scores", "merit_scores", "_f", "_g", "_scores")
 
     def __init__(
         self,
@@ -261,11 +259,6 @@ class ValueModel:
         self._g = g
         # _scores[p] is the score of 1-based position p; 0 is never read.
         self._scores = np.concatenate(([0.0], f))
-        # Half the narrowest range of one individual's values, from last
-        # place to first: the least the solver's box bound can be.
-        self._half_range = (
-            0.5 * float(((f[0] - g) - (f[-1] - g)).min()) if len(f) else math.inf
-        )
 
     @classmethod
     def position_diff(cls, instance: Instance) -> "ValueModel":

@@ -29,14 +29,13 @@ each oracle call.  Both ``x`` and ``x*`` give each individual a value
 between their worst and best attainable value, so the distance from ``x_u``
 to the farther end of that interval bounds the error.  That distance is at
 least half the interval, so this box bound is checked only when half the
-narrowest interval, which each value model computes once, is within
-``epsilon``; otherwise it could never end the solve, and the interval ends
-are never built.  And every vertex has the same sum as ``x``, so at a flat
-``x`` the gap is 0 for every ``q``, and the solve ends without the call.
-The solve stops as soon as a bound is at most ``epsilon``.  Between oracle
-calls, minor cycles move ``x`` to the affine minimizer of the active
-vertices, dropping vertices whose weight reaches zero; the active set stays
-affinely independent, so the support never exceeds ``n``.
+narrowest interval is within ``epsilon``; otherwise it could never end the
+solve.  And every vertex has the same sum as ``x``, so at a flat ``x`` the
+gap is 0 for every ``q``, and the solve ends without the call.  The solve
+stops as soon as a bound is at most ``epsilon``.  Between oracle calls,
+minor cycles move ``x`` to the affine minimizer of the active vertices,
+dropping vertices whose weight reaches zero; the active set stays affinely
+independent, so the support never exceeds ``n``.
 
 The affine steps read the inverse of ``P P^T + 1 1^T`` for the active rows
 ``P``, kept up to date as Wolfe kept his factor: bordered in O(k^2) when a
@@ -128,8 +127,9 @@ class FairDistribution:
 
     The solver builds its result through :meth:`_from_active`, which skips
     the merge (its active rankings are distinct and carry positive weight)
-    and gathers the rows from its own buffer.  Both entries share
-    :meth:`_assemble`, so the constructor given the solver's rankings,
+    and gathers the rows from its own buffer in one ``take``.  Both entries
+    sum the probabilities in input order, sort the same way and share the
+    tail :meth:`_assemble`, so the constructor given the solver's rankings,
     weights and rows returns the same bits.
     """
 
@@ -161,16 +161,16 @@ class FairDistribution:
                 merged[ranking.order] = [ranking, float(prob), values]
             else:
                 entry[1] += float(prob)
-        entries = list(merged.values())
+        total = sum(entry[1] for entry in merged.values())
+        entries = sorted(merged.values(), key=lambda e: (-e[1], e[0].order))
         rows = np.array([e[2] for e in entries], dtype=float)
         if rows.shape != (len(entries), instance.n):
             raise ValueError(
                 f"support values have shape {rows.shape}, expected "
                 f"{(len(entries), instance.n)}"
             )
-        probabilities = [e[1] for e in entries]
         self._assemble(
-            instance, [e[0] for e in entries], probabilities, sum(probabilities),
+            instance, [e[0] for e in entries], [e[1] / total for e in entries],
             rows, lambda_phases, oracle_calls, epsilon,
         )
 
@@ -187,12 +187,17 @@ class FairDistribution:
     ) -> "FairDistribution":
         """The solver's entry: distinct ``rankings`` with positive
         ``probabilities`` and their values as the rows of ``rows``, with the
-        mass checked as the public constructor checks it."""
+        mass checked, the atoms ordered and the total taken in input order
+        as the public constructor does."""
         self = cls.__new__(cls)
         total = _check_mass(probabilities)
+        ranked = sorted(
+            range(len(rankings)), key=lambda i: (-probabilities[i], rankings[i].order)
+        )
         self._assemble(
-            instance, rankings, probabilities, total, rows, lambda_phases,
-            oracle_calls, epsilon,
+            instance, [rankings[i] for i in ranked],
+            [probabilities[i] / total for i in ranked], rows.take(ranked, axis=0),
+            lambda_phases, oracle_calls, epsilon,
         )
         return self
 
@@ -201,25 +206,16 @@ class FairDistribution:
         instance: Instance,
         rankings: list[Ranking],
         probabilities: list[float],
-        total: float,
         rows: np.ndarray,
         lambda_phases: Sequence[float],
         oracle_calls: int,
         epsilon: float | None,
     ) -> None:
-        """Sort distinct atoms by ``(-probability, order)``, divide by
-        ``total`` (summed in the caller's input order) and gather the rows,
-        with the same floats for either entry."""
-        ranked = sorted(
-            range(len(rankings)), key=lambda i: (-probabilities[i], rankings[i].order)
-        )
-        probabilities = [probabilities[i] / total for i in ranked]
-        rows = rows.take(ranked, axis=0)
+        """Store sorted, normalized atoms whose values are the rows of
+        ``rows``, an array the distribution owns, and their expectation."""
         rows.setflags(write=False)
         self.instance = instance
-        self.atoms = tuple(
-            map(RankedAtom, [rankings[i] for i in ranked], probabilities, rows)
-        )
+        self.atoms = tuple(map(RankedAtom, rankings, probabilities, rows))
         expected = np.array(probabilities).dot(rows)
         expected.setflags(write=False)
         self.expected = expected
@@ -431,18 +427,19 @@ def solve_maxmin(
     eps = config.epsilon
     n = instance.n
     merit = instance.merit_position
+    f, g = value_model._f, value_model._g
+    lowest, highest = f[-1] - g, f[0] - g
     # The box bound is at least half of each individual's range, so it can
     # end the solve only when half the narrowest range is within epsilon;
     # the margin covers the rounding of the range and of the bound.
-    box_can_stop = value_model._half_range <= eps * (1.0 + 1e-9)
+    box_can_stop = 0.5 * float((highest - lowest).min()) <= eps * (1.0 + 1e-9)
     calls = 0
     solves = 0
     # The last oracle call's gap and the x it was measured at.
     gap, gap_at = math.inf, None
 
     def box(x: np.ndarray) -> float:
-        f, g = value_model._f, value_model._g
-        return float(np.maximum(x - (f[-1] - g), (f[0] - g) - x).max())
+        return float(np.maximum(x - lowest, highest - x).max())
 
     def stalled(reason: str) -> IterationCapExceeded:
         bound = gap if gap_at is None else min(box(gap_at), gap)
