@@ -15,7 +15,8 @@ Subcommands::
 
 Instances are CSV files with header ``id,group,score``; groups are indexed
 by first appearance.  Constraints come either from a JSON file (explicit
-bound tables or a named rule) or inline via ``--rule``/``--alpha``.  All
+bound tables or a named rule) or inline via ``--rule``/``--alpha``, not
+both; a constraint flag the chosen source does not read is refused.  All
 results are emitted as JSON, to stdout or ``--output``; a failure prints
 ``{"error": ...}`` as JSON to stderr instead.  Exit codes: 0 success, 2
 malformed input, 3 infeasible constraints, 4 size or iteration guard
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -65,8 +67,8 @@ def parse_instance(text: str) -> Instance:
     """Parse ``id,group,score`` CSV text into an instance.
 
     Raises :class:`ParseError` (with the offending 1-based row number) on a
-    bad header, malformed row or score, and :class:`DuplicateId` on a
-    repeated id.
+    bad header, malformed row, or a score that is not a finite nonnegative
+    number, and :class:`DuplicateId` on a repeated id.
     """
     reader = csv.reader(text.splitlines())
     rows = [row for row in reader]
@@ -92,8 +94,8 @@ def parse_instance(text: str) -> Instance:
             score = float(score_text)
         except ValueError:
             raise ParseError(f"bad score {score_text!r}", row=lineno) from None
-        if score < 0:
-            raise ParseError(f"negative score {score_text!r}", row=lineno)
+        if not 0 <= score < math.inf:
+            raise ParseError(f"score {score_text!r} is negative or not finite", row=lineno)
         triples.append((id_, group, score))
     if not triples:
         raise ParseError("no data rows")
@@ -269,6 +271,15 @@ def _instance_from_args(args) -> Instance:
 
 
 def _constraints_from_args(args, instance: Instance) -> ConstraintSet:
+    """The constraint set the flags name; ``ValueError`` for a flag that
+    would otherwise be ignored."""
+    if args.rule and args.constraints:
+        raise ValueError("--rule and --constraints cannot be combined")
+    for flag, value in (("--alpha", args.alpha), ("--protected", args.protected)):
+        if value is not None and args.rule != "ceil-alpha":
+            raise ValueError(f"{flag} needs --rule ceil-alpha")
+    if args.start_k is not None and not args.rule:
+        raise ValueError("--start-k needs --rule")
     if args.constraints:
         spec = json.loads(_read(args.constraints))
         constraints = load_constraints(instance, spec)

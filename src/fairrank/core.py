@@ -216,12 +216,12 @@ class Ranking:
 class ValueModel:
     """Scores ``value(r, u) = position_scores[r(u)] - merit_scores[u]``.
 
-    ``position_scores`` must be nonincreasing in the position (strictly
-    decreasing for the two graded presets); that monotonicity is what makes
-    the weighted assignment problem greedy-solvable.  ``merit_scores`` is an
-    individual-specific offset, normally the position score the individual
-    would earn in the pure merit ranking, so the value measures gain or loss
-    relative to merit.
+    Scores must be finite, and ``position_scores`` nonincreasing in the
+    position (strictly decreasing for the two graded presets); that
+    monotonicity is what makes the weighted assignment problem
+    greedy-solvable.  ``merit_scores`` is an individual-specific offset,
+    normally the position score the individual would earn in the pure merit
+    ranking, so the value measures gain or loss relative to merit.
 
     Presets:
 
@@ -233,7 +233,7 @@ class ValueModel:
       value is -1, 0 or +1 depending on crossing the top-``k`` boundary.
     """
 
-    __slots__ = ("kind", "position_scores", "merit_scores", "_f", "_g", "_scores")
+    __slots__ = ("kind", "position_scores", "merit_scores", "_g", "_scores")
 
     def __init__(
         self,
@@ -245,6 +245,8 @@ class ValueModel:
         g = np.array([float(x) for x in merit_scores])
         if f.ndim != 1 or f.shape != g.shape:
             raise ValueError("position and merit score vectors must have equal length n")
+        if not (np.isfinite(f).all() and np.isfinite(g).all()):
+            raise ValueError("position and merit scores must be finite")
         diffs = np.diff(f)
         if np.any(diffs > 0):
             raise ValueError("position scores must be nonincreasing")
@@ -253,9 +255,7 @@ class ValueModel:
         self.kind = kind
         self.position_scores = tuple(f.tolist())
         self.merit_scores = tuple(g.tolist())
-        f.setflags(write=False)
         g.setflags(write=False)
-        self._f = f
         self._g = g
         # _scores[p] is the score of 1-based position p; 0 is never read.
         self._scores = np.concatenate(([0.0], f))

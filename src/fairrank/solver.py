@@ -25,31 +25,30 @@ Each major cycle asks the oracle for the vertex ``q`` minimizing ``x . q``.
 The minimum-norm point ``x*`` satisfies ``x* . (x - x*) >= 0``, hence
 ``|x - x*|^2 <= x . x - x . q``, and the square root of that gap bounds the
 error of every entry of the sorted vector.  Two cheaper bounds come before
-each oracle call.  Both ``x`` and ``x*`` give each individual a value
-between their worst and best attainable value, so the distance from ``x_u``
-to the farther end of that interval bounds the error.  That distance is at
-least half the interval, so this box bound is checked only when half the
-narrowest interval is within ``epsilon``; otherwise it could never end the
-solve.  And every vertex has the same sum as ``x``, so at a flat ``x`` the
-gap is 0 for every ``q``, and the solve ends without the call.  The solve
-stops as soon as a bound is at most ``epsilon``.  Between oracle calls,
-minor cycles move ``x`` to the affine minimizer of the active vertices,
-dropping vertices whose weight reaches zero; the active set stays affinely
-independent, so the support never exceeds ``n``.
+each oracle call.  Both ``x`` and ``x*`` give individual ``u`` a value in
+``[f_n - g_u, f_1 - g_u]`` (position scores ``f``, merit scores ``g``), so
+the distance from ``x_u`` to the farther end bounds the error.  That is at
+least half the width ``f_1 - f_n``, the same for everyone, so this box
+bound is checked only when half the width is within ``epsilon``; otherwise
+it could never end the solve.  And every vertex has the same sum as ``x``,
+so at a flat ``x`` the gap is 0 for every ``q``, and the solve ends without
+the call.  The solve stops as soon as a bound is at most ``epsilon``.
+Between oracle calls, minor cycles move ``x`` to the affine minimizer of
+the active vertices, dropping vertices whose weight reaches zero; the
+active set stays affinely independent, so the support never exceeds ``n``.
 
 The affine steps read the inverse of ``P P^T + 1 1^T`` for the active rows
 ``P``, kept up to date as Wolfe kept his factor: bordered in O(k^2) when a
 vertex joins and downdated in O(k^2) when one leaves, so a minor cycle
 neither rebuilds the Gram matrix nor solves a linear system.  A vertex that
 is affinely dependent on the active set to float resolution stops the
-solve.  The active set's state starts when the second vertex joins: ``P``
-then lives in one ``(n + 1) x n`` buffer per solve and the inverse in two
-alternating ones, so a major cycle allocates no matrix unless a vertex
-leaves, and a solve that ends at its first vertex builds none of them.
+solve.  The active set is a map from ranking order to ranking, in the row
+order of ``P``.  Its arrays start when the second vertex joins: ``P`` then
+lives in one ``(n + 1) x n`` buffer per solve, so a join copies one row,
+not ``P``, and a solve that ends at its first vertex builds no matrix.
 Products use ``ndarray.dot``: the same BLAS call as ``@``, with less
 dispatch per call.  The returned distribution takes the final active set
-as it stands: its rankings are distinct, so no merge is needed, and its
-rows are gathered from the buffer in one ``take``.
+as it stands: its rankings are distinct, so no merge is needed.
 """
 
 from __future__ import annotations
@@ -92,16 +91,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver settings: only ``epsilon``, the certified additive accuracy
-    of every entry of the sorted expected-value vector, in the same units
-    as the value model.
+    """Solver settings: only ``epsilon``, positive and finite, the certified
+    additive accuracy of every entry of the sorted expected-value vector, in
+    the same units as the value model.
     """
 
     epsilon: float = 0.01
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,11 +125,10 @@ class FairDistribution:
     while producing the distribution.
 
     The solver builds its result through :meth:`_from_active`, which skips
-    the merge (its active rankings are distinct and carry positive weight)
-    and gathers the rows from its own buffer in one ``take``.  Both entries
-    sum the probabilities in input order, sort the same way and share the
-    tail :meth:`_assemble`, so the constructor given the solver's rankings,
-    weights and rows returns the same bits.
+    the merge: its active rankings are distinct and carry positive weight.
+    Both entries end in the one tail :meth:`_assemble`, which sums the
+    probabilities in input order and sorts the atoms, so the constructor
+    given the solver's rankings, weights and rows returns the same bits.
     """
 
     __slots__ = (
@@ -161,8 +159,7 @@ class FairDistribution:
                 merged[ranking.order] = [ranking, float(prob), values]
             else:
                 entry[1] += float(prob)
-        total = sum(entry[1] for entry in merged.values())
-        entries = sorted(merged.values(), key=lambda e: (-e[1], e[0].order))
+        entries = list(merged.values())
         rows = np.array([e[2] for e in entries], dtype=float)
         if rows.shape != (len(entries), instance.n):
             raise ValueError(
@@ -170,35 +167,16 @@ class FairDistribution:
                 f"{(len(entries), instance.n)}"
             )
         self._assemble(
-            instance, [e[0] for e in entries], [e[1] / total for e in entries],
-            rows, lambda_phases, oracle_calls, epsilon,
+            instance, [e[0] for e in entries], [e[1] for e in entries], rows,
+            lambda_phases, oracle_calls, epsilon,
         )
 
     @classmethod
-    def _from_active(
-        cls,
-        instance: Instance,
-        rankings: list[Ranking],
-        probabilities: list[float],
-        rows: np.ndarray,
-        lambda_phases: Sequence[float],
-        oracle_calls: int,
-        epsilon: float,
-    ) -> "FairDistribution":
-        """The solver's entry: distinct ``rankings`` with positive
-        ``probabilities`` and their values as the rows of ``rows``, with the
-        mass checked, the atoms ordered and the total taken in input order
-        as the public constructor does."""
+    def _from_active(cls, *args) -> "FairDistribution":
+        """The solver's entry, with the arguments of :meth:`_assemble`:
+        distinct rankings with positive probabilities and their value rows."""
         self = cls.__new__(cls)
-        total = _check_mass(probabilities)
-        ranked = sorted(
-            range(len(rankings)), key=lambda i: (-probabilities[i], rankings[i].order)
-        )
-        self._assemble(
-            instance, [rankings[i] for i in ranked],
-            [probabilities[i] / total for i in ranked], rows.take(ranked, axis=0),
-            lambda_phases, oracle_calls, epsilon,
-        )
+        self._assemble(*args)
         return self
 
     def _assemble(
@@ -211,8 +189,16 @@ class FairDistribution:
         oracle_calls: int,
         epsilon: float | None,
     ) -> None:
-        """Store sorted, normalized atoms whose values are the rows of
-        ``rows``, an array the distribution owns, and their expectation."""
+        """Check the mass of distinct atoms valued by the rows of ``rows``;
+        store them sorted, normalized by their sum in input order, and their
+        expectation."""
+        total = _check_mass(probabilities)
+        ranked = sorted(
+            range(len(rankings)), key=lambda i: (-probabilities[i], rankings[i].order)
+        )
+        probabilities = [probabilities[i] / total for i in ranked]
+        rankings = [rankings[i] for i in ranked]
+        rows = rows.take(ranked, axis=0)
         rows.setflags(write=False)
         self.instance = instance
         self.atoms = tuple(map(RankedAtom, rankings, probabilities, rows))
@@ -257,11 +243,9 @@ def _check_mass(probabilities: Sequence[float]) -> float:
     return total
 
 
-def _bordered(inverse: np.ndarray, points: np.ndarray, q: np.ndarray, out: np.ndarray):
+def _bordered(inverse: np.ndarray, points: np.ndarray, q: np.ndarray):
     """``(P P^T + 1 1^T)^-1`` for the rows ``P = points`` with ``q``
-    appended, bordered from ``inverse``, the same matrix without ``q``, and
-    written to the front of the flat buffer ``out``, which must not hold
-    ``inverse``.
+    appended, bordered from ``inverse``, the same matrix without ``q``.
 
     Adding ``1 1^T`` keeps the matrix positive definite exactly while the
     rows stay affinely independent, so the Schur complement ``s`` of the
@@ -277,7 +261,7 @@ def _bordered(inverse: np.ndarray, points: np.ndarray, q: np.ndarray, out: np.nd
     if not s > 1e-13 * diag:
         return None
     k = len(t)
-    grown = out[: (k + 1) * (k + 1)].reshape(k + 1, k + 1)
+    grown = np.empty((k + 1, k + 1))
     ts = t / s
     np.multiply.outer(t, ts, out=grown[:k, :k])
     grown[:k, :k] += inverse
@@ -326,8 +310,7 @@ def _minor_cycles(
     points: np.ndarray,
     weights: np.ndarray,
     alpha: np.ndarray,
-    active: list[Ranking],
-    members: set[tuple[int, ...]],
+    active: dict[tuple[int, ...], Ranking],
     inverse: np.ndarray,
 ):
     """Move the convex weights toward the active set's affine minimizer
@@ -338,9 +321,9 @@ def _minor_cycles(
     the active set's convex hull, its weights are the answer.  ``inverse``
     is ``(P P^T + 1 1^T)^-1`` for ``P = points`` and is downdated as
     vertices leave; the surviving rows move to the front of ``points``,
-    and the orders of dropped rankings leave ``members``.  Returns the
-    surviving points, weights, rankings and inverse, and the number of
-    affine solves made.
+    and the dropped rankings leave ``active``, the map from order to
+    ranking in row order.  Returns the surviving points, weights and
+    inverse, and the number of affine solves made.
     """
     solves = 0
     while True:
@@ -358,13 +341,13 @@ def _minor_cycles(
         kept = points[keep]
         points = points[: len(kept)]
         points[...] = kept
-        members.difference_update(r.order for r, k in zip(active, keep) if not k)
-        active = [r for r, k in zip(active, keep) if k]
+        for order in [o for o, k in zip(active, keep) if not k]:
+            del active[order]
         weights = weights[keep] / weights[keep].sum()
         alpha = _affine_weights(inverse, points)
         solves += 1
         if alpha.min() > _WEIGHT_DUST:
-            return points, alpha, active, inverse, solves
+            return points, alpha, inverse, solves
 
 
 def _levels(x: np.ndarray, bound: float) -> list[float]:
@@ -427,19 +410,20 @@ def solve_maxmin(
     eps = config.epsilon
     n = instance.n
     merit = instance.merit_position
-    f, g = value_model._f, value_model._g
-    lowest, highest = f[-1] - g, f[0] - g
-    # The box bound is at least half of each individual's range, so it can
-    # end the solve only when half the narrowest range is within epsilon;
-    # the margin covers the rounding of the range and of the bound.
-    box_can_stop = 0.5 * float((highest - lowest).min()) <= eps * (1.0 + 1e-9)
+    top, bottom = value_model.position_scores[0], value_model.position_scores[-1]
+    g = value_model._g
+    # The box bound is at least half of everyone's range width, top - bottom;
+    # the margin covers the rounding of the bound.
+    box_can_stop = 0.5 * (top - bottom) <= eps * (1.0 + 1e-9)
     calls = 0
     solves = 0
     # The last oracle call's gap and the x it was measured at.
     gap, gap_at = math.inf, None
 
     def box(x: np.ndarray) -> float:
-        return float(np.maximum(x - lowest, highest - x).max())
+        # x_u + g_u is u's expected position score, in [bottom, top].
+        y = x + g
+        return max(float(y.max()) - bottom, top - float(y.min()))
 
     def stalled(reason: str) -> IterationCapExceeded:
         bound = gap if gap_at is None else min(box(gap_at), gap)
@@ -457,8 +441,7 @@ def solve_maxmin(
 
     # Zero weights sort into the merit order.
     ranking, q = vertex(instance.merit_order)
-    active = [ranking]
-    members = {ranking.order}
+    active = {ranking.order: ranking}
     buffer = None
     max_active = 1
     x = q
@@ -484,7 +467,7 @@ def solve_maxmin(
         if gap <= eps:
             bound, stop = gap, "gap"
             break
-        if ranking.order in members:
+        if ranking.order in active:
             raise stalled("the oracle returned an active vertex")
         k = len(active)
         if buffer is None:
@@ -496,23 +479,20 @@ def solve_maxmin(
             weights = np.ones(1)
             norm = float(x.dot(x))
             inverse = np.array([[1.0 / (norm + 1.0)]])
-            spare, held = np.empty((n + 1) ** 2), np.empty((n + 1) ** 2)
-        inverse = _bordered(inverse, points, q, spare)
+        inverse = _bordered(inverse, points, q)
         if inverse is None:
             raise stalled("singular active set in an affine step")
-        spare, held = held, spare
         points = buffer[: k + 1]
         points[k] = q
-        active.append(ranking)
-        members.add(ranking.order)
+        active[ranking.order] = ranking
         max_active = max(max_active, k + 1)
         alpha = _affine_weights(inverse, points)
         solves += 1
         if alpha.min() > _WEIGHT_DUST:
             weights = alpha
         else:
-            points, weights, active, inverse, used = _minor_cycles(
-                points, np.append(weights, 0.0), alpha, active, members, inverse
+            points, weights, inverse, used = _minor_cycles(
+                points, np.append(weights, 0.0), alpha, active, inverse
             )
             solves += used
         shorter_x = weights.dot(points)
@@ -526,7 +506,8 @@ def solve_maxmin(
     else:
         probabilities = weights.tolist()
     distribution = FairDistribution._from_active(
-        instance, active, probabilities, points, _levels(x, bound), calls, eps
+        instance, list(active.values()), probabilities, points, _levels(x, bound),
+        calls, eps,
     )
     logger.info(
         "solve_maxmin n=%d oracle_calls=%d iterations=%d support=%d "
@@ -550,10 +531,6 @@ def sample(distribution: FairDistribution, rng_seed) -> Ranking:
 def _draw_index(probabilities: Sequence[float], rng_seed) -> int:
     """Index drawn in proportion to ``probabilities``, with ``rng_seed`` an
     integer seed or a ``numpy.random.Generator``."""
-    rng = (
-        rng_seed
-        if isinstance(rng_seed, np.random.Generator)
-        else np.random.default_rng(rng_seed)
-    )
+    rng = np.random.default_rng(rng_seed)
     probs = np.array(probabilities, dtype=float)
     return int(rng.choice(len(probs), p=probs / probs.sum()))

@@ -63,6 +63,10 @@ def test_parse_instance_errors():
         parse_instance("id,group,score\nu1,a,-0.5\n")
     with pytest.raises(ParseError):
         parse_instance("id,group,score\n")
+    for score in ("nan", "inf", "-inf"):
+        with pytest.raises(ParseError, match="not finite") as err:
+            parse_instance(f"id,group,score\nu1,a,1.0\nu2,a,{score}\n")
+        assert err.value.row == 3
 
 
 def test_load_constraints_tables(eight):
@@ -439,6 +443,44 @@ def test_threshold_flag_is_a_usage_error(eight_csv, command, capsys):
         run([command, "--input", eight_csv, "--threshold", "1e-9"])
     assert exit_info.value.code == 2
     assert "--threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "experiment"])
+@pytest.mark.parametrize("epsilon", ["inf", "nan", "0"])
+def test_epsilon_must_be_positive_and_finite(eight_csv, command, epsilon, capsys):
+    """An infinite epsilon would be written out as ``Infinity``, which is
+    not JSON."""
+    code, payload = run_json(capsys, [command, "--input", eight_csv, "--epsilon", epsilon])
+    assert code == 2
+    assert payload["error"]["message"] == "epsilon must be positive and finite"
+
+
+@pytest.mark.parametrize("command", ["solve", "baseline", "metrics", "decompose", "sample"])
+@pytest.mark.parametrize("flags, message", [
+    (["--alpha", "0.9", "--protected", "F"], "--alpha needs --rule ceil-alpha"),
+    (["--protected", "F"], "--protected needs --rule ceil-alpha"),
+    (["--rule", "floor-balanced", "--alpha", "0.3"], "--alpha needs --rule ceil-alpha"),
+    (["--start-k", "2"], "--start-k needs --rule"),
+    (["--constraints", "RULE", "--rule", "ceil-alpha", "--alpha", "0.3"],
+     "--rule and --constraints cannot be combined"),
+    (["--constraints", "RULE", "--start-k", "2"], "--start-k needs --rule"),
+])
+def test_constraint_flags_that_would_be_ignored_exit_2(
+    eight_csv, tmp_path, command, flags, message, capsys
+):
+    """A constraint flag that the chosen source of constraints does not
+    read is refused, not dropped."""
+    spec = tmp_path / "rule.json"
+    spec.write_text(json.dumps({"rule": "floor-balanced"}))
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps({
+        "support": [{"probability": 1.0, "ranking": [u for u, _, _ in EIGHT_ROWS]}]
+    }))
+    flags = [str(spec) if flag == "RULE" else flag for flag in flags]
+    extra = ["--distribution", str(dist)] if command in ("metrics", "sample") else []
+    code, payload = run_json(capsys, [command, "--input", eight_csv, *flags, *extra])
+    assert code == 2
+    assert payload["error"]["message"] == message
 
 
 def test_output_flag_writes_file(eight_csv, tmp_path, capsys):

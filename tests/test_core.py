@@ -145,6 +145,17 @@ def test_custom_model_requires_nonincreasing_positions(eight):
         )
 
 
+def test_value_model_refuses_non_finite_scores():
+    """A NaN or infinite score is refused at construction, not reported by
+    the solve as a bad weight; an empty model still builds."""
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="must be finite"):
+            ValueModel.custom([bad, 0.0], [0.0, 0.0])
+        with pytest.raises(ValueError, match="must be finite"):
+            ValueModel.custom([1.0, 0.0], [0.0, bad])
+    assert ValueModel.custom([], []).n == 0
+
+
 def test_values_matches_value_pointwise(eight):
     model = ValueModel.log_ratio(eight)
     r = Ranking.from_ids(eight, ["u3", "u1", "u2", "u6", "u4", "u7", "u5", "u8"])

@@ -34,8 +34,9 @@ from conftest import random_instance, random_upper_constraints, ranking_cases
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(epsilon=0.0)
+    for epsilon in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SolverConfig(epsilon=epsilon)
     fields = [f.name for f in dataclasses.fields(SolverConfig)]
     assert fields == ["epsilon"]
 
@@ -256,7 +257,7 @@ def test_box_bound_ends_a_loose_worked_example(eight, eight_upper, eight_model, 
 
 def test_box_bound_ends_a_solve_at_half_the_range(caplog):
     """Two people, position scores 2 and 0, equal merit offsets: every
-    range is 2, so half the narrowest range is 1, and at epsilon 1 the box
+    range is 2 wide, so half the width is 1, and at epsilon 1 the box
     bound is checked.  The second vertex mirrors the first, the affine
     step lands on the midpoint (1, 1) less the offset, and the box bound
     there is exactly 1 = epsilon.  Offsets of 2**20, about 1e6 above the
@@ -295,16 +296,11 @@ def _lstsq_affine_minimizer(points):
     return np.concatenate(([1.0 - beta.sum()], beta))
 
 
-def _border(inverse, points, q):
-    """``_bordered`` into a fresh buffer, so no two inverses share memory."""
-    return _bordered(inverse, points, q, np.empty((len(points) + 1) ** 2))
-
-
 def _grown(points):
     """The maintained inverse for ``points``, bordered one row at a time."""
     inverse = np.array([[1.0 / (points[0] @ points[0] + 1.0)]])
     for k in range(1, len(points)):
-        inverse = _border(inverse, points[:k], points[k])
+        inverse = _bordered(inverse, points[:k], points[k])
     return inverse
 
 
@@ -324,7 +320,7 @@ def test_maintained_inverse_matches_least_squares():
         for _ in range(12):
             if len(points) < n and rng.random() < 0.6:
                 q = rng.normal(size=n) * scale
-                inverse = _border(inverse, points, q)
+                inverse = _bordered(inverse, points, q)
                 points = np.concatenate((points, q[None, :]))
             elif len(points) > 1:
                 keep = rng.random(len(points)) < 0.7
@@ -353,7 +349,7 @@ def test_maintained_inverse_matches_least_squares():
     assert np.abs(alpha @ points - reference).max() <= 1e-9
     # The midpoint itself is affinely dependent: bordering refuses it.
     mid = 0.5 * (points[0] + points[1])
-    assert _border(_grown(points[:5]), points[:5], mid) is None
+    assert _bordered(_grown(points[:5]), points[:5], mid) is None
 
 
 def _count_calls(monkeypatch, module, name):
@@ -452,6 +448,32 @@ def test_unshortened_major_cycle_raises(eight, eight_upper, eight_model, monkeyp
         r"certified bound \S+ > epsilon 1e-08",
     ):
         solve_maxmin(eight, eight_upper, eight_model, SolverConfig(epsilon=1e-8))
+
+
+def test_box_guard_reads_one_width_where_the_ranges_sit_apart(eight, eight_upper, caplog):
+    """Individual u's values lie in ``[f_n - g_u, f_1 - g_u]``, so every
+    range has the width ``f_1 - f_n`` however far apart the merit offsets
+    ``g`` set them.  With u2's offset 2**20 above the merit offsets, the
+    box is checked at epsilon equal to half the width and not just below,
+    and at neither can it stop the solve; at the full width the first
+    vertex's box bound is the width, and it ends the solve at once."""
+    f = [1 / i for i in range(1, 9)]
+    g = [f[p - 1] for p in eight.merit_position]
+    g[eight.index_of("u2")] += 2**20
+    model = ValueModel.custom(f, g)
+    half = 0.5 * (f[0] - f[-1])
+    pinned = {
+        half: ("4", "0.206207", "gap"),
+        half * (1 - 1e-6): ("4", "0.206207", "gap"),
+        2 * half: ("1", "0.875", "box"),
+    }
+    for eps, (calls, bound, stop) in pinned.items():
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="fairrank.solver"):
+            solve_maxmin(eight, eight_upper, model, SolverConfig(epsilon=eps))
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "fairrank.solver"]
+        fields = dict(item.split("=") for item in line.split()[1:])
+        assert (fields["oracle_calls"], fields["bound"], fields["stop"]) == (calls, bound, stop)
 
 
 def test_solve_logs_one_info_line(eight, eight_upper, eight_model, caplog):
