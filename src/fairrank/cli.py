@@ -4,9 +4,10 @@ Subcommands::
 
     solve       compute a maxmin-fair distribution over valid rankings
     baseline    compute the deterministic merit-greedy ranking
-    sample      draw one ranking from a stored distribution, first checking
-                its probabilities, and every stored ranking against the
-                constraints when ``--input`` is given
+    sample      draw one ranking from a stored distribution, the one
+                ``fairrank.sample`` draws for the same file and seed; the
+                roster is ``--input`` (whose constraints every stored
+                ranking must meet) or else the first stored ranking's ids
     metrics     re-evaluate a stored distribution against its instance and
                 constraints
     decompose   exact satisfaction-block decomposition (from a table over
@@ -49,7 +50,7 @@ from .errors import (
     IterationCapExceeded,
     ParseError,
 )
-from .solver import FairDistribution, SolverConfig, _check_mass, _draw_index, solve_maxmin
+from .solver import FairDistribution, SolverConfig, sample, solve_maxmin
 
 __all__ = [
     "parse_instance",
@@ -156,16 +157,19 @@ def load_constraints(instance: Instance, spec: dict) -> ConstraintSet:
     return ConstraintSet(upper, lower)
 
 
-def _value_model(instance: Instance, name: str, k: int | None) -> ValueModel:
-    if name == "position-diff":
-        return ValueModel.position_diff(instance)
-    if name == "log-ratio":
-        return ValueModel.log_ratio(instance)
-    if name == "top-k":
-        if k is None:
-            raise ValueError("--value-fn top-k needs --k")
-        return ValueModel.top_k_selection(instance, k)
-    raise ValueError(f"unknown value function {name!r}")
+def _top_k(instance: Instance, k: int | None) -> ValueModel:
+    if k is None:
+        raise ValueError("--value-fn top-k needs --k")
+    return ValueModel.top_k_selection(instance, k)
+
+
+# Every ``--value-fn`` name, with the model it builds from the roster and
+# ``--k``; both parsers take their choices from here.
+_VALUE_FNS = {
+    "position-diff": lambda instance, k: ValueModel.position_diff(instance),
+    "log-ratio": lambda instance, k: ValueModel.log_ratio(instance),
+    "top-k": _top_k,
+}
 
 
 def _sig12(x: float) -> float:
@@ -197,9 +201,13 @@ def distribution_from_dict(
     """Rebuild a distribution emitted by :func:`distribution_to_dict`,
     re-evaluating satisfactions against the given instance and model.
 
-    With ``constraints``, every stored ranking must satisfy them; the first
-    that does not raises ``ValueError`` naming its support atom.
+    ``data`` is refused with ``ValueError`` unless it has the shape and JSON
+    types :func:`distribution_to_dict` writes, and so is a stored ranking
+    that does not list every roster id once.  With ``constraints``, every
+    stored ranking must satisfy them; the first that does not raises
+    ``ValueError`` naming its support atom.
     """
+    _check_stored(data)
     weighted = []
     for k, entry in enumerate(data["support"]):
         ranking = Ranking.from_ids(instance, entry["ranking"])
@@ -226,10 +234,9 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _read_distribution(path: str) -> dict:
-    """A stored distribution, refused with ``ValueError`` unless its JSON
-    has the shape and types :func:`distribution_to_dict` writes."""
-    data = json.loads(_read(path))
+def _check_stored(data) -> None:
+    """``ValueError`` unless ``data`` has the shape and JSON types of a
+    stored distribution."""
     number = (int, float)
     if not (isinstance(data, dict) and isinstance(data.get("support"), list)):
         raise ValueError("a stored distribution is a JSON object with a support list")
@@ -254,7 +261,17 @@ def _read_distribution(path: str) -> dict:
             "lambda_phases must list numbers, oracle_calls must be an integer "
             "and epsilon a number or null"
         )
-    return data
+
+
+def _stored_roster(data) -> Instance:
+    """The roster of a stored distribution read without ``--input``: the
+    ids of its first ranking, in one group with zero scores.  An empty
+    support names no ids; one blank id stands in, and the mass check then
+    refuses the file."""
+    _check_stored(data)
+    support = data["support"]
+    ids = support[0]["ranking"] if support else [""]
+    return Instance.from_rows((u, "", 0.0) for u in ids)
 
 
 def _emit(payload: dict, output: str | None) -> None:
@@ -306,7 +323,7 @@ def _solver_config(args) -> SolverConfig:
 def _cmd_solve(args) -> dict:
     instance = _instance_from_args(args)
     constraints = _constraints_from_args(args, instance)
-    value_model = _value_model(instance, args.value_fn, args.k)
+    value_model = _VALUE_FNS[args.value_fn](instance, args.k)
     distribution = solve_maxmin(instance, constraints, value_model, _solver_config(args))
     payload = distribution_to_dict(distribution)
     payload["metrics"] = analysis.metrics_for_distribution(instance, distribution).to_dict()
@@ -317,7 +334,7 @@ def _cmd_baseline(args) -> dict:
     instance = _instance_from_args(args)
     constraints = _constraints_from_args(args, instance)
     ranking = baseline_mod.deterministic_baseline(instance, constraints)
-    value_model = _value_model(instance, args.value_fn, args.k)
+    value_model = _VALUE_FNS[args.value_fn](instance, args.k)
     values = value_model.values(ranking)
     return {
         "ranking": list(ranking.ids(instance)),
@@ -328,30 +345,28 @@ def _cmd_baseline(args) -> dict:
 
 
 def _cmd_sample(args) -> dict:
-    data = _read_distribution(args.distribution)
+    data = json.loads(_read(args.distribution))
     if args.input:
         instance = _instance_from_args(args)
         constraints = _constraints_from_args(args, instance)
-        # Only the atoms' validity matters here; any value model will do.
-        distribution_from_dict(
-            instance, ValueModel.position_diff(instance), data, constraints
-        )
     elif any(
         getattr(args, name) is not None
         for name in ("constraints", "rule", "alpha", "protected", "start_k")
     ):
         raise ValueError("checking against constraints needs --input")
-    support = data["support"]
-    probabilities = [float(e["probability"]) for e in support]
-    _check_mass(probabilities)
-    idx = _draw_index(probabilities, args.seed)
-    return {"ranking": list(support[idx]["ranking"]), "seed": args.seed}
+    else:
+        instance, constraints = _stored_roster(data), None
+    # A draw reads no values, so a zero value model will do.
+    zero = ValueModel.custom([0.0] * instance.n, [0.0] * instance.n)
+    distribution = distribution_from_dict(instance, zero, data, constraints)
+    ranking = sample(distribution, args.seed)
+    return {"ranking": list(ranking.ids(instance)), "seed": args.seed}
 
 
 def _cmd_metrics(args) -> dict:
     instance = _instance_from_args(args)
-    value_model = _value_model(instance, args.value_fn, args.k)
-    data = _read_distribution(args.distribution)
+    value_model = _VALUE_FNS[args.value_fn](instance, args.k)
+    data = json.loads(_read(args.distribution))
     constraints = _constraints_from_args(args, instance)
     distribution = distribution_from_dict(instance, value_model, data, constraints)
     payload = analysis.metrics_for_distribution(instance, distribution).to_dict()
@@ -362,7 +377,7 @@ def _cmd_metrics(args) -> dict:
 def _cmd_decompose(args) -> dict:
     instance = _instance_from_args(args)
     constraints = _constraints_from_args(args, instance)
-    value_model = _value_model(instance, args.value_fn, args.k)
+    value_model = _VALUE_FNS[args.value_fn](instance, args.k)
     decomposition = analysis.fair_decomposition(instance, constraints, value_model)
     return {
         "blocks": [
@@ -378,7 +393,7 @@ def _cmd_decompose(args) -> dict:
 
 def _cmd_experiment(args) -> dict:
     instance = _instance_from_args(args)
-    value_model = _value_model(instance, args.value_fn, args.k)
+    value_model = _VALUE_FNS[args.value_fn](instance, args.k)
     alphas = (
         [float(a) for a in str(args.alpha).split(",")]
         if args.alpha is not None
@@ -438,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p, solver=False):
         add_instance(p)
         p.add_argument("--value-fn", default="position-diff", dest="value_fn",
-                       choices=["position-diff", "log-ratio", "top-k"])
+                       choices=list(_VALUE_FNS))
         p.add_argument("--k", type=int, default=None,
                        help="cutoff for the top-k value function")
         if solver:
@@ -477,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protected", default=None)
     p.add_argument("--start-k", type=int, default=None, dest="start_k")
     p.add_argument("--value-fn", default="position-diff", dest="value_fn",
-                   choices=["position-diff", "log-ratio", "top-k"])
+                   choices=list(_VALUE_FNS))
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument("--output", default=None)

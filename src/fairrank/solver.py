@@ -33,9 +33,10 @@ bound is checked only when half the width is within ``epsilon``; otherwise
 it could never end the solve.  And every vertex has the same sum as ``x``,
 so at a flat ``x`` the gap is 0 for every ``q``, and the solve ends without
 the call.  The solve stops as soon as a bound is at most ``epsilon``.
-Between oracle calls, minor cycles move ``x`` to the affine minimizer of
-the active vertices, dropping vertices whose weight reaches zero; the
-active set stays affinely independent, so the support never exceeds ``n``.
+After each oracle call, minor cycles inside the same loop move ``x`` to
+the affine minimizer of the active vertices, dropping vertices whose
+weight reaches zero; the active set stays affinely independent, so the
+support never exceeds ``n``.
 
 The affine steps read the inverse of ``P P^T + 1 1^T`` for the active rows
 ``P``, kept up to date as Wolfe kept his factor: bordered in O(k^2) when a
@@ -48,7 +49,8 @@ lives in one ``(n + 1) x n`` buffer per solve, so a join copies one row,
 not ``P``, and a solve that ends at its first vertex builds no matrix.
 Products use ``ndarray.dot``: the same BLAS call as ``@``, with less
 dispatch per call.  The returned distribution takes the final active set
-as it stands: its rankings are distinct, so no merge is needed.
+as it stands, in the order its vertices joined: its rankings are
+distinct, so no merge is needed.
 """
 
 from __future__ import annotations
@@ -119,7 +121,10 @@ class FairDistribution:
     Duplicate rankings are merged, atoms of probability zero skipped and
     probabilities renormalized at construction, so ``expected`` always
     matches the support exactly; a negative probability is refused.  Atoms
-    are sorted by decreasing probability, ties by ranking order.
+    are sorted by decreasing probability, ties kept in input order (first
+    appearance for merged duplicates; for the solver, the order in which
+    vertices joined), so the order needs no roster and :func:`sample`
+    draws the same atom for the same input and seed.
     ``lambda_phases`` records the distinct satisfaction levels in raw value
     units; ``oracle_calls`` counts every greedy-oracle consultation made
     while producing the distribution.
@@ -193,8 +198,9 @@ class FairDistribution:
         store them sorted, normalized by their sum in input order, and their
         expectation."""
         total = _check_mass(probabilities)
+        # Stable: equal probabilities keep their input order.
         ranked = sorted(
-            range(len(rankings)), key=lambda i: (-probabilities[i], rankings[i].order)
+            range(len(rankings)), key=probabilities.__getitem__, reverse=True
         )
         probabilities = [probabilities[i] / total for i in ranked]
         rankings = [rankings[i] for i in ranked]
@@ -306,50 +312,6 @@ def _affine_weights(inverse: np.ndarray, points: np.ndarray) -> np.ndarray:
     return u
 
 
-def _minor_cycles(
-    points: np.ndarray,
-    weights: np.ndarray,
-    alpha: np.ndarray,
-    active: dict[tuple[int, ...], Ranking],
-    inverse: np.ndarray,
-):
-    """Move the convex weights toward the active set's affine minimizer
-    ``alpha``, which has a weight at or below dust.
-
-    Step from the current weights toward it until the first weight reaches
-    zero, drop that vertex, and solve again; when the minimizer lies inside
-    the active set's convex hull, its weights are the answer.  ``inverse``
-    is ``(P P^T + 1 1^T)^-1`` for ``P = points`` and is downdated as
-    vertices leave; the surviving rows move to the front of ``points``,
-    and the dropped rankings leave ``active``, the map from order to
-    ranking in row order.  Returns the surviving points, weights and
-    inverse, and the number of affine solves made.
-    """
-    solves = 0
-    while True:
-        falling = np.flatnonzero(alpha <= _WEIGHT_DUST)
-        drop = weights[falling] - alpha[falling]
-        ratios = np.divide(
-            weights[falling], drop, out=np.zeros(len(falling)), where=drop > 0
-        )
-        first = int(ratios.argmin())
-        theta = min(1.0, float(ratios[first]))
-        weights = (1.0 - theta) * weights + theta * alpha
-        keep = weights > _WEIGHT_DUST
-        keep[falling[first]] = False
-        inverse = _without(inverse, keep)
-        kept = points[keep]
-        points = points[: len(kept)]
-        points[...] = kept
-        for order in [o for o, k in zip(active, keep) if not k]:
-            del active[order]
-        weights = weights[keep] / weights[keep].sum()
-        alpha = _affine_weights(inverse, points)
-        solves += 1
-        if alpha.min() > _WEIGHT_DUST:
-            return points, alpha, inverse, solves
-
-
 def _levels(x: np.ndarray, bound: float) -> list[float]:
     """Distinct satisfaction levels of ``x``: sorted entries no further
     apart than two error bounds may share a level of the optimum, so runs
@@ -399,7 +361,7 @@ def solve_maxmin(
     major cycle fails to shorten ``x``.
 
     Each solve logs one INFO line with the keys ``oracle_calls``,
-    ``iterations`` (affine solves of the minor cycles), ``support``,
+    ``iterations`` (affine solves, minor cycles included), ``support``,
     ``max_active`` (the largest active set of the solve), ``bound`` (the
     certified per-entry error) and ``stop`` (``gap`` or ``box``, the bound
     that ended the solve; a flat ``x`` ends with ``bound=0 stop=gap``).
@@ -488,13 +450,33 @@ def solve_maxmin(
         max_active = max(max_active, k + 1)
         alpha = _affine_weights(inverse, points)
         solves += 1
-        if alpha.min() > _WEIGHT_DUST:
-            weights = alpha
-        else:
-            points, weights, inverse, used = _minor_cycles(
-                points, np.append(weights, 0.0), alpha, active, inverse
+        # Minor cycles: step from the convex weights toward the affine
+        # minimizer until the first weight reaches zero, drop that vertex
+        # and solve again, until the minimizer lies inside the hull.
+        while not alpha.min() > _WEIGHT_DUST:
+            if len(weights) < len(alpha):
+                # The joining vertex enters the convex weights at zero.
+                weights = np.append(weights, 0.0)
+            falling = np.flatnonzero(alpha <= _WEIGHT_DUST)
+            drop = weights[falling] - alpha[falling]
+            ratios = np.divide(
+                weights[falling], drop, out=np.zeros(len(falling)), where=drop > 0
             )
-            solves += used
+            first = int(ratios.argmin())
+            theta = min(1.0, float(ratios[first]))
+            weights = (1.0 - theta) * weights + theta * alpha
+            keep = weights > _WEIGHT_DUST
+            keep[falling[first]] = False
+            inverse = _without(inverse, keep)
+            kept = points[keep]
+            points = buffer[: len(kept)]
+            points[...] = kept
+            for order in [o for o, k in zip(active, keep) if not k]:
+                del active[order]
+            weights = weights[keep] / weights[keep].sum()
+            alpha = _affine_weights(inverse, points)
+            solves += 1
+        weights = alpha
         shorter_x = weights.dot(points)
         shorter = float(shorter_x.dot(shorter_x))
         if not shorter < norm:
@@ -522,15 +504,10 @@ def sample(distribution: FairDistribution, rng_seed) -> Ranking:
     """Draw one ranking from the distribution.
 
     ``rng_seed`` may be an integer seed or a ``numpy.random.Generator``;
-    equal seeds give equal draws.
+    equal seeds give equal draws.  The draw picks an atom in the stored
+    order (decreasing probability, ties in input order).
     """
-    probabilities = [a.probability for a in distribution.atoms]
-    return distribution.atoms[_draw_index(probabilities, rng_seed)].ranking
-
-
-def _draw_index(probabilities: Sequence[float], rng_seed) -> int:
-    """Index drawn in proportion to ``probabilities``, with ``rng_seed`` an
-    integer seed or a ``numpy.random.Generator``."""
     rng = np.random.default_rng(rng_seed)
-    probs = np.array(probabilities, dtype=float)
-    return int(rng.choice(len(probs), p=probs / probs.sum()))
+    probs = np.array([a.probability for a in distribution.atoms])
+    index = rng.choice(len(probs), p=probs / probs.sum())
+    return distribution.atoms[int(index)].ranking

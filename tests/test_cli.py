@@ -23,6 +23,7 @@ from conftest import EIGHT_ROWS
 EIGHT_CSV = "id,group,score\n" + "".join(
     f"{i},{g},{s}\n" for i, g, s in EIGHT_ROWS
 )
+ABC_CSV = "id,group,score\na,M,0.9\nb,F,0.8\nc,M,0.7\n"
 
 
 @pytest.fixture()
@@ -265,6 +266,7 @@ def test_sample_checks_the_stored_mass_without_input(tmp_path, capsys):
     files = {
         "half.json": ([0.5], "sum to 0.5"),
         "negative.json": ([1.3, -0.3], "support atom 1 has probability -0.3"),
+        "empty.json": ([], "support probabilities sum to 0, expected 1"),
     }
     for name, (probabilities, message) in files.items():
         path = tmp_path / name
@@ -281,12 +283,18 @@ def test_sample_checks_the_stored_mass_without_input(tmp_path, capsys):
 def test_mistyped_stored_distribution_exits_2(tmp_path, capsys):
     """A probability of the wrong JSON type, a list where the object
     belongs, or a mistyped stored field is malformed input to sample and
-    metrics alike: exit 2 with the error JSON, not a traceback."""
+    metrics alike: exit 2 with the error JSON, not a traceback.  The
+    library reader refuses the same data with ``ValueError``."""
     roster = tmp_path / "abc.csv"
-    roster.write_text("id,group,score\na,M,0.9\nb,F,0.8\nc,M,0.7\n")
+    roster.write_text(ABC_CSV)
+    inst = parse_instance(ABC_CSV)
+    model = fairrank.ValueModel.position_diff(inst)
     atom = {"probability": 1.0, "ranking": ["a", "b", "c"]}
     files = {
         "null.json": {"support": [dict(atom, probability=None)]},
+        "text.json": {"support": [dict(atom, probability="1")]},
+        "bool.json": {"support": [dict(atom, probability=True)]},
+        "string_ranking.json": {"support": [dict(atom, ranking="abc")]},
         "list.json": [1, 2],
         "phases.json": {"support": [atom], "lambda_phases": 5},
         "null_phase.json": {"support": [atom], "lambda_phases": [None]},
@@ -301,6 +309,30 @@ def test_mistyped_stored_distribution_exits_2(tmp_path, capsys):
             code, payload = run_json(capsys, argv)
             assert code == 2, argv
             assert payload["error"]["type"] == "ValueError"
+        with pytest.raises(ValueError):
+            distribution_from_dict(inst, model, data)
+
+
+@pytest.mark.parametrize("rankings, message", [
+    ([["a", "a", "zz"]], "individual ids must be unique"),
+    ([["a", "b", "c"], ["a", "a", "c"]], "ranking must be a permutation of 0..n-1"),
+    ([["a", "b", "c"], ["a", "b", "zz"]], "unknown id 'zz' in a ranking"),
+    ([["a", "b", "c"], ["a", "b"]], "a ranking lists all 3 ids, got 2"),
+])
+def test_sample_without_input_refuses_rankings_off_the_roster(
+    rankings, message, tmp_path, capsys
+):
+    """Without ``--input`` the roster is the first stored ranking's ids: a
+    ranking that repeats an id or disagrees with that roster exits 2."""
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps({"support": [
+        {"probability": 1 / len(rankings), "ranking": r} for r in rankings
+    ]}))
+    code, payload = run_json(capsys, [
+        "sample", "--distribution", str(path), "--seed", "1",
+    ])
+    assert code == 2
+    assert payload["error"] == {"type": "ValueError", "message": message}
 
 
 FOUR_CSV = "id,group,score\na,M,0.9\nb,F,0.8\nc,M,0.7\nd,F,0.6\n"
@@ -558,26 +590,49 @@ def test_infeasible_caps_exit_3_with_the_solver_message(eight_csv, tmp_path, cap
     assert code == 3
 
 
+def _atoms(*pairs):
+    return {"support": [{"probability": p, "ranking": list(r)} for p, r in pairs]}
+
+
 def test_sample_command_draws_like_the_library(eight_csv, tmp_path, capsys):
+    """``fairrank sample``, with and without ``--input``, draws what
+    ``fairrank.sample`` draws from the same file and seed: on a solved file
+    and on hand-written files whose atoms are not in the library's order."""
     code, solved = run_json(capsys, [
         "solve", "--input", eight_csv, "--rule", "floor-balanced",
         "--epsilon", "0.05",
     ])
     assert code == 0
-    dist_path = tmp_path / "dist.json"
-    dist_path.write_text(json.dumps(solved))
-    inst = parse_instance(EIGHT_CSV)
-    stored = distribution_from_dict(
-        inst, fairrank.ValueModel.position_diff(inst), solved
-    )
-    drawn = set()
-    for seed in range(8):
-        assert run(["sample", "--distribution", str(dist_path), "--seed", str(seed)]) == 0
-        ranking = fairrank.sample(stored, seed).ids(inst)
-        want = json.dumps({"ranking": list(ranking), "seed": seed}, indent=2) + "\n"
-        assert capsys.readouterr().out == want
-        drawn.add(ranking)
-    assert len(drawn) > 1
+    abc_csv = tmp_path / "abc.csv"
+    abc_csv.write_text(ABC_CSV)
+    files = {
+        "solved.json": (EIGHT_CSV, eight_csv, solved),
+        "ascending.json": (ABC_CSV, str(abc_csv), _atoms((0.3, "abc"), (0.7, "bac"))),
+        "ties.json": (ABC_CSV, str(abc_csv), _atoms((0.5, "cba"), (0.5, "abc"))),
+        "repeated.json": (
+            ABC_CSV, str(abc_csv), _atoms((0.2, "bac"), (0.5, "abc"), (0.3, "bac"))
+        ),
+        "zero.json": (
+            ABC_CSV, str(abc_csv), _atoms((0.0, "cab"), (0.4, "abc"), (0.6, "bca"))
+        ),
+    }
+    for name, (csv_text, csv_path, data) in files.items():
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        inst = parse_instance(csv_text)
+        stored = distribution_from_dict(
+            inst, fairrank.ValueModel.position_diff(inst), data
+        )
+        drawn = set()
+        for seed in range(16):
+            ranking = fairrank.sample(stored, seed).ids(inst)
+            want = json.dumps({"ranking": list(ranking), "seed": seed}, indent=2) + "\n"
+            argv = ["sample", "--distribution", str(path), "--seed", str(seed)]
+            for extra in ([], ["--input", csv_path]):
+                assert run(argv + extra) == 0
+                assert capsys.readouterr().out == want, (name, seed, extra)
+            drawn.add(ranking)
+        assert len(drawn) > 1, name
 
 
 def test_exit_code_for_size_guard(tmp_path, capsys):
@@ -592,10 +647,14 @@ def test_exit_code_for_size_guard(tmp_path, capsys):
 
 
 def test_import_leaves_scipy_unloaded():
+    """Neither the import nor a parsed roster loads scipy or numpy.ma: each
+    costs a CLI process milliseconds that no command needs."""
     src = os.path.dirname(os.path.dirname(fairrank.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run(
         [sys.executable, "-c",
-         "import fairrank, fairrank.cli, sys; assert 'scipy' not in sys.modules"],
+         "import fairrank, fairrank.cli, sys; "
+         "fairrank.cli.parse_instance('id,group,score\\na,M,1\\nb,F,0\\n'); "
+         "assert 'scipy' not in sys.modules and 'numpy.ma' not in sys.modules"],
         env=env, check=True, timeout=60,
     )

@@ -64,6 +64,12 @@ def test_instance_rejects_bad_scores():
         Instance.from_rows([("u1", "A", float("nan"))])
 
 
+@pytest.mark.parametrize("groups", [[0, 2], [-1, 0], [1, 1]])
+def test_instance_rejects_group_gaps(groups):
+    with pytest.raises(ValueError, match="group indices must cover 0..t-1 with no gaps"):
+        Instance(Individual(f"u{i}", g, 0.5) for i, g in enumerate(groups))
+
+
 def test_ranking_round_trip(eight):
     r = Ranking.from_ids(eight, ["u2", "u1", "u3", "u6", "u4", "u8", "u5", "u7"])
     assert r.ids(eight) == ("u2", "u1", "u3", "u6", "u4", "u8", "u5", "u7")

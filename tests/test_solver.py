@@ -441,7 +441,7 @@ def test_unshortened_major_cycle_raises(eight, eight_upper, eight_model, monkeyp
         raise AssertionError("the drop path ran")
 
     monkeypatch.setattr(fairrank.solver, "_affine_weights", farthest)
-    monkeypatch.setattr(fairrank.solver, "_minor_cycles", no_drops)
+    monkeypatch.setattr(fairrank.solver, "_without", no_drops)
     with pytest.raises(
         IterationCapExceeded,
         match=r"a major cycle did not shorten x after 2 oracle calls, "
