@@ -515,7 +515,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        payload = args.func(args)
+        _emit(args.func(args), args.output)
     except (InstanceTooLarge, IterationCapExceeded) as exc:
         _emit_error(exc)
         return _EXIT_GUARD
@@ -526,7 +526,6 @@ def run(argv: Sequence[str] | None = None) -> int:
             json.JSONDecodeError, OSError, FairRankingError) as exc:
         _emit_error(exc)
         return _EXIT_PARSE
-    _emit(payload, args.output)
     return 0
 
 

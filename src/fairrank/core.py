@@ -58,7 +58,6 @@ class Instance:
     """
 
     __slots__ = (
-        "individuals",
         "group_labels",
         "n",
         "n_groups",
@@ -99,7 +98,6 @@ class Instance:
             if len(group_labels) != n_groups:
                 raise ValueError("need exactly one label per group")
 
-        self.individuals = individuals
         self.group_labels = group_labels
         self.n = len(individuals)
         self.n_groups = n_groups

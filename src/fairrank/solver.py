@@ -24,15 +24,13 @@ and its :class:`InfeasibleConstraints` passes through the solve unchanged.
 Each major cycle asks the oracle for the vertex ``q`` minimizing ``x . q``.
 The minimum-norm point ``x*`` satisfies ``x* . (x - x*) >= 0``, hence
 ``|x - x*|^2 <= x . x - x . q``, and the square root of that gap bounds the
-error of every entry of the sorted vector.  Two cheaper bounds come before
-each oracle call.  Both ``x`` and ``x*`` give individual ``u`` a value in
-``[f_n - g_u, f_1 - g_u]`` (position scores ``f``, merit scores ``g``), so
-the distance from ``x_u`` to the farther end bounds the error.  That is at
-least half the width ``f_1 - f_n``, the same for everyone, so this box
-bound is checked only when half the width is within ``epsilon``; otherwise
-it could never end the solve.  And every vertex has the same sum as ``x``,
-so at a flat ``x`` the gap is 0 for every ``q``, and the solve ends without
-the call.  The solve stops as soon as a bound is at most ``epsilon``.
+error of every entry of the sorted vector.  Before the first gap, the
+width ``f_1 - f_n`` of everyone's range ``[f_n - g_u, f_1 - g_u]``
+(position scores ``f``, merit scores ``g``) bounds it instead, so a solve
+whose ``epsilon`` is at least the width ends at its first vertex.  Every
+vertex has the same sum as ``x``, so at a flat ``x`` the gap is 0 for
+every ``q``, and the solve ends without the call.  The solve stops as soon
+as a bound is at most ``epsilon``.
 After each oracle call, minor cycles inside the same loop move ``x`` to
 the affine minimizer of the active vertices, dropping vertices whose
 weight reaches zero; the active set stays affinely independent, so the
@@ -355,7 +353,8 @@ def solve_maxmin(
     after the certificate.
 
     A solve that stalls raises :class:`IterationCapExceeded` with the
-    reason and the last certified bound: the cap of 50,000,000 oracle calls
+    reason and the last certified bound (the width before the first gap):
+    the cap of 50,000,000 oracle calls
     (``_ORACLE_CALL_CAP``) is reached, the oracle returns a vertex already
     in the active set, an affine step meets a singular active set, or a
     major cycle fails to shorten ``x``.
@@ -363,8 +362,9 @@ def solve_maxmin(
     Each solve logs one INFO line with the keys ``oracle_calls``,
     ``iterations`` (affine solves, minor cycles included), ``support``,
     ``max_active`` (the largest active set of the solve), ``bound`` (the
-    certified per-entry error) and ``stop`` (``gap`` or ``box``, the bound
-    that ended the solve; a flat ``x`` ends with ``bound=0 stop=gap``).
+    certified per-entry error) and ``stop``: ``gap`` when the last gap
+    ended the solve (a flat ``x`` ends with ``bound=0 stop=gap``), ``box``
+    when the range width was at most epsilon, at the first vertex.
     """
     config = config or SolverConfig()
     if value_model.n != instance.n:
@@ -372,23 +372,15 @@ def solve_maxmin(
     eps = config.epsilon
     n = instance.n
     merit = instance.merit_position
-    top, bottom = value_model.position_scores[0], value_model.position_scores[-1]
-    g = value_model._g
-    # The box bound is at least half of everyone's range width, top - bottom;
-    # the margin covers the rounding of the bound.
-    box_can_stop = 0.5 * (top - bottom) <= eps * (1.0 + 1e-9)
+    scores = value_model.position_scores
+    # Everyone's value, in x and in x* alike, lies in a range this wide, so
+    # the width bounds every entry's error until the first gap.
+    width = scores[0] - scores[-1]
+    bound, stop = width, "box"
     calls = 0
     solves = 0
-    # The last oracle call's gap and the x it was measured at.
-    gap, gap_at = math.inf, None
-
-    def box(x: np.ndarray) -> float:
-        # x_u + g_u is u's expected position score, in [bottom, top].
-        y = x + g
-        return max(float(y.max()) - bottom, top - float(y.min()))
 
     def stalled(reason: str) -> IterationCapExceeded:
-        bound = gap if gap_at is None else min(box(gap_at), gap)
         return IterationCapExceeded(
             f"solver stalled: {reason} after {calls} oracle calls, "
             f"certified bound {bound:.6g} > epsilon {eps:g}"
@@ -407,12 +399,7 @@ def solve_maxmin(
     buffer = None
     max_active = 1
     x = q
-    while True:
-        if box_can_stop:
-            bound = box(x)
-            if bound <= eps:
-                stop = "box"
-                break
+    while bound > eps:
         # Weights max(x) - x: a NaN or infinite entry of x leaves a NaN or
         # -inf in ``shifted``, and both propagate to its minimum.
         shifted = x - np.maximum.reduce(x)
@@ -425,9 +412,9 @@ def solve_maxmin(
             break
         # Descending weight, ties in merit order.
         ranking, q = vertex(np.lexsort((merit, shifted)).tolist())
-        gap, gap_at = math.sqrt(max(0.0, float(x.dot(x - q)))), x
-        if gap <= eps:
-            bound, stop = gap, "gap"
+        gap = math.sqrt(max(0.0, float(x.dot(x - q))))
+        bound, stop = min(width, gap), "gap"
+        if bound <= eps:
             break
         if ranking.order in active:
             raise stalled("the oracle returned an active vertex")

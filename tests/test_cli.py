@@ -526,6 +526,18 @@ def test_output_flag_writes_file(eight_csv, tmp_path, capsys):
     assert json.loads(out.read_text())["min_value"] == -2.0
 
 
+def test_unwritable_output_exits_2(eight_csv, tmp_path, capsys):
+    """An ``--output`` in a missing directory, or one that names a
+    directory, is an ``OSError`` like any other: exit 2, nothing on stdout,
+    and the error JSON names the path."""
+    for out in (tmp_path / "missing" / "out.json", tmp_path):
+        code, payload = run_json(capsys, [
+            "solve", "--input", eight_csv, "--output", str(out),
+        ])
+        assert code == 2
+        assert str(out) in payload["error"]["message"]
+
+
 def test_exit_code_for_malformed_input(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("name,team,points\nu1,a,1.0\n")
