@@ -39,6 +39,7 @@ from .core import (
     Instance,
     Ranking,
     ValueModel,
+    _vacuous_upper,
     build_rule_constraints,
     is_valid,
 )
@@ -68,11 +69,11 @@ def parse_instance(text: str) -> Instance:
     """Parse ``id,group,score`` CSV text into an instance.
 
     Raises :class:`ParseError` (with the offending 1-based row number) on a
-    bad header, malformed row, or a score that is not a finite nonnegative
-    number, and :class:`DuplicateId` on a repeated id.
+    bad header, a malformed row, an empty id or group, or a score that is
+    not a finite nonnegative number, and :class:`DuplicateId` on a repeated
+    id.
     """
-    reader = csv.reader(text.splitlines())
-    rows = [row for row in reader]
+    rows = list(csv.reader(text.splitlines()))
     if not rows:
         raise ParseError("empty input")
     header = [c.strip() for c in rows[0]]
@@ -81,13 +82,15 @@ def parse_instance(text: str) -> Instance:
     seen: set[str] = set()
     triples: list[tuple[str, str, float]] = []
     for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
+        if not "".join(row).strip():
             continue
         if len(row) != 3:
             raise ParseError(f"expected 3 fields, got {len(row)}", row=lineno)
-        id_, group, score_text = (c.strip() for c in row)
+        id_, group, score_text = map(str.strip, row)
         if not id_:
             raise ParseError("empty id", row=lineno)
+        if not group:
+            raise ParseError("empty group", row=lineno)
         if id_ in seen:
             raise DuplicateId(f"duplicate id {id_!r}", row=lineno)
         seen.add(id_)
@@ -109,8 +112,9 @@ def load_constraints(instance: Instance, spec: dict) -> ConstraintSet:
     Either ``{"rule": "ceil-alpha", "alpha": .., "protected": ..}`` /
     ``{"rule": "floor-balanced", "start_k": ..}`` or explicit bound tables
     ``{"upper": {label: [..n integers..]}, "lower": {...}}``; groups
-    missing from a table get vacuous bounds.  A field of the wrong JSON type
-    raises ``ValueError``.
+    missing from a table get vacuous bounds: cap ``min(i, |group|)`` on the
+    first ``i`` positions, floor 0.  Either form builds one constraint set.
+    A field of the wrong JSON type raises ``ValueError``.
     """
     if not isinstance(spec, dict):
         raise ValueError("constraint JSON must be an object")
@@ -131,9 +135,9 @@ def load_constraints(instance: Instance, spec: dict) -> ConstraintSet:
         )
     if "upper" not in spec and "lower" not in spec:
         raise ValueError("constraint JSON needs a rule or bound tables")
-    vac = ConstraintSet.vacuous(instance)
-    upper = [list(row) for row in vac.upper]
-    lower = [[0] * instance.n for _ in range(instance.n_groups)]
+    n = instance.n
+    upper = _vacuous_upper(instance)
+    lower = [[0] * n for _ in range(instance.n_groups)]
     for key, table in (("upper", upper), ("lower", lower)):
         tables = spec.get(key)
         if tables is None:
@@ -144,16 +148,16 @@ def load_constraints(instance: Instance, spec: dict) -> ConstraintSet:
             g = instance.group_index(label)
             if not (
                 isinstance(bounds, list)
-                and len(bounds) == instance.n
+                and len(bounds) == n
                 and all(type(x) is int for x in bounds)
             ):
                 raise ValueError(
                     f"{key} bounds for group {label!r} must list "
-                    f"{instance.n} integers, one per prefix"
+                    f"{n} integers, one per prefix"
                 )
-            # ConstraintSet clips every bound to 0..n anyway; clipping here
-            # keeps integers past int64 out of its array.
-            table[g] = [min(max(x, 0), instance.n) for x in bounds]
+            # Clipping keeps integers past int64 out of ConstraintSet's
+            # array; testing the range first spares most bounds min/max.
+            table[g] = [x if 0 <= x <= n else min(max(x, 0), n) for x in bounds]
     return ConstraintSet(upper, lower)
 
 
@@ -298,22 +302,15 @@ def _constraints_from_args(args, instance: Instance) -> ConstraintSet:
     if args.start_k is not None and not args.rule:
         raise ValueError("--start-k needs --rule")
     if args.constraints:
-        spec = json.loads(_read(args.constraints))
-        constraints = load_constraints(instance, spec)
-    elif args.rule:
-        protected = args.protected
-        if args.rule == "ceil-alpha" and protected is None:
-            protected = instance.group_labels[0]
-        constraints = build_rule_constraints(
-            instance,
-            args.rule,
-            alpha=args.alpha,
-            protected_group=protected,
-            start_k=args.start_k,
-        )
-    else:
-        constraints = ConstraintSet.vacuous(instance)
-    return constraints
+        return load_constraints(instance, json.loads(_read(args.constraints)))
+    if not args.rule:
+        return ConstraintSet.vacuous(instance)
+    protected = args.protected
+    if args.rule == "ceil-alpha" and protected is None:
+        protected = instance.group_labels[0]
+    return build_rule_constraints(
+        instance, args.rule, alpha=args.alpha, protected_group=protected, start_k=args.start_k
+    )
 
 
 def _solver_config(args) -> SolverConfig:

@@ -77,47 +77,49 @@ class Instance:
         group_labels: Sequence[str] | None = None,
     ):
         individuals = tuple(individuals)
-        if not individuals:
-            raise ValueError("an instance needs at least one individual")
-        ids = tuple(u.id for u in individuals)
-        if len(set(ids)) != len(ids):
-            raise ValueError("individual ids must be unique")
-        relevance = np.array([u.relevance for u in individuals], dtype=float)
-        if np.any(relevance < 0) or not np.all(np.isfinite(relevance)):
-            raise ValueError("relevance scores must be finite and nonnegative")
-        group_of = np.array([u.group for u in individuals], dtype=int)
-        n_groups = int(group_of.max()) + 1 if len(group_of) else 0
-        # bincount, unlike np.unique, does not import numpy.ma on its first
-        # call, an import of about 10 ms per CLI process on a 2-core VM.
-        if group_of.min() < 0 or not np.bincount(group_of).all():
-            raise ValueError("group indices must cover 0..t-1 with no gaps")
-        if group_labels is None:
-            group_labels = tuple(str(g) for g in range(n_groups))
-        else:
-            group_labels = tuple(group_labels)
-            if len(group_labels) != n_groups:
-                raise ValueError("need exactly one label per group")
+        self._setup(
+            [u.id for u in individuals],
+            [u.group for u in individuals],
+            [u.relevance for u in individuals],
+            group_labels,
+        )
 
-        self.group_labels = group_labels
-        self.n = len(individuals)
-        self.n_groups = n_groups
-        self.ids = ids
-        self.relevance = relevance
-        self.relevance.setflags(write=False)
-        self.group_of = group_of
-        self.group_of.setflags(write=False)
+    def _setup(self, ids: list, groups: list, relevance: list, group_labels) -> None:
+        """Check and store parallel lists of ids, group indices and scores."""
+        if not ids:
+            raise ValueError("an instance needs at least one individual")
+        self._index_of = {u: i for i, u in enumerate(ids)}
+        if len(self._index_of) != len(ids):
+            raise ValueError("individual ids must be unique")
+        relevance = np.array(relevance, dtype=float)
+        scores = relevance.tolist()
+        if not all(0 <= x < math.inf for x in scores):
+            raise ValueError("relevance scores must be finite and nonnegative")
+        group_of = np.array(groups, dtype=int)
         # The greedy fill indexes groups from Python once per placement.
         self._groups = tuple(group_of.tolist())
-        self.group_sizes = np.bincount(group_of, minlength=n_groups)
-        self.group_sizes.setflags(write=False)
-        order = sorted(range(self.n), key=lambda i: (-relevance[i], ids[i]))
+        # bincount, unlike np.unique, does not import numpy.ma on its first
+        # call, an import of about 10 ms per CLI process on a 2-core VM.
+        if min(self._groups) < 0 or not (sizes := np.bincount(group_of)).all():
+            raise ValueError("group indices must cover 0..t-1 with no gaps")
+        self.n_groups = len(sizes)
+        if group_labels is None:
+            group_labels = map(str, range(self.n_groups))
+        self.group_labels = tuple(group_labels)
+        if len(self.group_labels) != self.n_groups:
+            raise ValueError("need exactly one label per group")
+        self.n = n = len(ids)
+        self.ids = tuple(ids)
+        order = sorted(range(n), key=lambda i: (-scores[i], ids[i]))
         self.merit_order = tuple(order)
-        merit_position = np.empty(self.n, dtype=int)
-        for rank, i in enumerate(order, start=1):
-            merit_position[i] = rank
-        merit_position.setflags(write=False)
+        merit_position = np.empty(n, dtype=int)
+        merit_position[order] = range(1, n + 1)
+        for array in (relevance, group_of, sizes, merit_position):
+            array.setflags(write=False)
+        self.relevance = relevance
+        self.group_of = group_of
+        self.group_sizes = sizes
         self.merit_position = merit_position
-        self._index_of = {u: i for i, u in enumerate(ids)}
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple[str, str, float]]) -> "Instance":
@@ -125,15 +127,15 @@ class Instance:
 
         Group labels are mapped to indices in order of first appearance.
         """
-        labels: list[str] = []
         label_index: dict[str, int] = {}
-        individuals = []
+        ids, groups, scores = [], [], []
         for id_, label, score in rows:
-            if label not in label_index:
-                label_index[label] = len(labels)
-                labels.append(label)
-            individuals.append(Individual(id_, label_index[label], float(score)))
-        return cls(individuals, group_labels=labels)
+            ids.append(id_)
+            groups.append(label_index.setdefault(label, len(label_index)))
+            scores.append(float(score))
+        instance = object.__new__(cls)
+        instance._setup(ids, groups, scores, list(label_index))
+        return instance
 
     def index_of(self, id_: str) -> int:
         """The index of the individual with id ``id_``; ``ValueError`` for
@@ -241,37 +243,39 @@ class ValueModel:
         position_scores: Sequence[float],
         merit_scores: Sequence[float],
     ):
-        f = np.array([float(x) for x in position_scores])
-        g = np.array([float(x) for x in merit_scores])
-        if f.ndim != 1 or f.shape != g.shape:
+        position_scores = [float(x) for x in position_scores]
+        merit_scores = [float(x) for x in merit_scores]
+        if len(position_scores) != len(merit_scores):
             raise ValueError("position and merit score vectors must have equal length n")
-        if not (np.isfinite(f).all() and np.isfinite(g).all()):
+        # _scores[p] is the score of 1-based position p; 0 is never read.
+        scores = np.array([0.0, *position_scores])
+        g = np.array(merit_scores)
+        if not (np.isfinite(scores).all() and np.isfinite(g).all()):
             raise ValueError("position and merit scores must be finite")
-        diffs = np.diff(f)
-        if np.any(diffs > 0):
+        diffs = scores[2:] - scores[1:-1]
+        if (diffs > 0).any():
             raise ValueError("position scores must be nonincreasing")
-        if kind in ("position-diff", "log-ratio") and np.any(diffs >= 0) and len(f) > 1:
+        if kind in ("position-diff", "log-ratio") and (diffs >= 0).any():
             raise ValueError(f"{kind} requires strictly decreasing position scores")
         self.kind = kind
-        self.position_scores = tuple(f.tolist())
-        self.merit_scores = tuple(g.tolist())
+        self.position_scores = tuple(position_scores)
+        self.merit_scores = tuple(merit_scores)
         g.setflags(write=False)
         self._g = g
-        # _scores[p] is the score of 1-based position p; 0 is never read.
-        self._scores = np.concatenate(([0.0], f))
+        self._scores = scores
 
     @classmethod
     def position_diff(cls, instance: Instance) -> "ValueModel":
         n = instance.n
         f = [n - i for i in range(1, n + 1)]
-        g = [n - p for p in instance.merit_position]
+        g = [n - p for p in instance.merit_position.tolist()]
         return cls("position-diff", f, g)
 
     @classmethod
     def log_ratio(cls, instance: Instance) -> "ValueModel":
         n = instance.n
         f = [math.log(n / i) for i in range(1, n + 1)]
-        g = [math.log(n / p) for p in instance.merit_position]
+        g = [math.log(n / p) for p in instance.merit_position.tolist()]
         return cls("log-ratio", f, g)
 
     @classmethod
@@ -280,7 +284,7 @@ class ValueModel:
         if not 1 <= k <= n:
             raise ValueError("k must be between 1 and n")
         f = [1.0 if i <= k else 0.0 for i in range(1, n + 1)]
-        g = [1.0 if p <= k else 0.0 for p in instance.merit_position]
+        g = [1.0 if p <= k else 0.0 for p in instance.merit_position.tolist()]
         return cls("top-k", f, g)
 
     @classmethod
@@ -313,6 +317,12 @@ class ValueModel:
         return f"ValueModel(kind={self.kind!r}, n={self.n})"
 
 
+def _vacuous_upper(instance: Instance) -> list[list[int]]:
+    """``min(i, |group k|)`` for group ``k`` and prefix length ``i``."""
+    n = instance.n
+    return [[*range(1, s + 1), *[s] * (n - s)] for s in instance.group_sizes.tolist()]
+
+
 def _bound_table(rows: Sequence[Sequence[int]], name: str) -> np.ndarray:
     try:
         return np.array(rows, dtype=int)
@@ -321,7 +331,8 @@ def _bound_table(rows: Sequence[Sequence[int]], name: str) -> np.ndarray:
 
 
 def _clamped(rows: np.ndarray, n: int) -> np.ndarray:
-    return np.clip(rows, 0, np.arange(1, n + 1))
+    # np.clip's Python wrapper costs about three times this pair of ufuncs.
+    return np.minimum(np.maximum(rows, 0), np.arange(1, n + 1))
 
 
 def _normalize_upper(rows: np.ndarray, n: int) -> np.ndarray:
@@ -380,27 +391,29 @@ class ConstraintSet:
         if urows.ndim != 2:
             raise ValueError("upper bounds must be a groups x positions table")
         t, n = urows.shape
-        if lower is None:
-            lrows = np.zeros((t, n), dtype=int)
-        else:
+        if lower is not None:
             lrows = _bound_table(lower, "lower")
             if lrows.shape != (t, n):
                 raise ValueError("lower bounds must match the upper-bound shape")
         urows = _normalize_upper(urows, n)
-        lrows = _normalize_lower(lrows, n)
-        bad = lrows > urows
-        if bad.any():
-            k, i = np.argwhere(bad)[0]
-            raise InfeasibleConstraints(
-                f"group {k} needs at least {lrows[k, i]} of the first {i + 1} "
-                f"positions but is capped at {urows[k, i]}"
-            )
         urows.setflags(write=False)
         self.n = n
         self.n_groups = t
-        self.upper_only = not lrows.any()
         self.upper = tuple(tuple(row) for row in urows.tolist())
-        self.lower = tuple(tuple(row) for row in lrows.tolist())
+        # A table without a positive entry repairs to all zeros.
+        self.upper_only = lower is None or not (lrows > 0).any()
+        if self.upper_only:
+            self.lower = ((0,) * n,) * t
+        else:
+            lrows = _normalize_lower(lrows, n)
+            bad = lrows > urows
+            if bad.any():
+                k, i = np.argwhere(bad)[0]
+                raise InfeasibleConstraints(
+                    f"group {k} needs at least {lrows[k, i]} of the first {i + 1} "
+                    f"positions but is capped at {urows[k, i]}"
+                )
+            self.lower = tuple(tuple(row) for row in lrows.tolist())
         prefix = np.arange(1, n + 1)
         if self.upper_only or t == 1:
             caps = urows
@@ -415,13 +428,10 @@ class ConstraintSet:
 
     @classmethod
     def vacuous(cls, instance: Instance) -> "ConstraintSet":
-        """Bounds every ranking satisfies."""
-        n = instance.n
-        upper = [
-            [min(i, int(size)) for i in range(1, n + 1)]
-            for size in instance.group_sizes
-        ]
-        return cls(upper)
+        """Bounds every ranking satisfies: caps ``min(i, |group|)`` on the
+        first ``i`` positions, no floors.  A rule or a bound file builds one
+        set from these caps, not this set as well."""
+        return cls(_vacuous_upper(instance))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -483,12 +493,11 @@ def ceil_alpha_constraints(
     frac = Fraction(str(alpha))
     g = instance.group_index(protected_group)
     n = instance.n
-    lower = np.zeros((instance.n_groups, n), dtype=int)
+    lower = [[0] * n for _ in range(instance.n_groups)]
     for i in range(max(1, start_k), n + 1):
         bound = -((-(frac.numerator * i - frac.denominator)) // frac.denominator)
-        lower[g, i - 1] = max(0, bound)
-    vac = ConstraintSet.vacuous(instance)
-    return ConstraintSet(vac.upper, lower)
+        lower[g][i - 1] = max(0, bound)
+    return ConstraintSet(_vacuous_upper(instance), lower)
 
 
 def floor_balanced_constraints(instance: Instance, start_k: int = 3) -> ConstraintSet:
@@ -496,12 +505,8 @@ def floor_balanced_constraints(instance: Instance, start_k: int = 3) -> Constrai
     ``floor(i / 2)`` members of each of two groups."""
     if instance.n_groups != 2:
         raise ValueError("the balanced rule needs exactly two groups")
-    n = instance.n
-    lower = np.zeros((2, n), dtype=int)
-    for i in range(max(1, start_k), n + 1):
-        lower[:, i - 1] = i // 2
-    vac = ConstraintSet.vacuous(instance)
-    return ConstraintSet(vac.upper, lower)
+    row = [i // 2 if i >= start_k else 0 for i in range(1, instance.n + 1)]
+    return ConstraintSet(_vacuous_upper(instance), [row, row])
 
 
 def build_rule_constraints(
@@ -521,9 +526,7 @@ def build_rule_constraints(
             instance, alpha, protected_group, start_k if start_k is not None else 1
         )
     if rule == "floor-balanced":
-        return floor_balanced_constraints(
-            instance, start_k if start_k is not None else 3
-        )
+        return floor_balanced_constraints(instance, 3 if start_k is None else start_k)
     raise ValueError(f"unknown constraint rule {rule!r}")
 
 
@@ -562,4 +565,4 @@ def is_feasible(instance: Instance, constraints: ConstraintSet) -> bool:
     capacity = np.minimum(
         _equivalent_caps(constraints, instance), instance.group_sizes[:, None]
     ).sum(axis=0)
-    return bool(np.all(capacity >= np.arange(1, instance.n + 1)))
+    return bool((capacity >= np.arange(1, instance.n + 1)).all())

@@ -70,6 +70,21 @@ def test_parse_instance_errors():
         assert err.value.row == 3
 
 
+@pytest.mark.parametrize("group", ["", "  "])
+def test_empty_group_exits_2(tmp_path, capsys, group):
+    text = f"id,group,score\na,A,0.9\nb,{group},0.8\n"
+    with pytest.raises(ParseError, match="empty group") as err:
+        parse_instance(text)
+    assert err.value.row == 3
+    path = tmp_path / "roster.csv"
+    path.write_text(text)
+    code, payload = run_json(capsys, ["baseline", "--input", str(path)])
+    assert code == 2
+    assert payload["error"] == {
+        "type": "ParseError", "message": "row 3: empty group", "row": 3,
+    }
+
+
 def test_load_constraints_tables(eight):
     cons = load_constraints(
         eight, {"upper": {"M": [1, 2, 2, 2, 3, 3, 4, 4]}}

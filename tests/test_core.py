@@ -5,7 +5,9 @@ whatever the repair does to the bound tables, the set of satisfying
 rankings must not change.
 """
 
+from fractions import Fraction
 from itertools import permutations
+import math
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from fairrank import (
     to_upper_only,
 )
 
+from fairrank.cli import load_constraints
 from fairrank.core import _normalize_lower, _normalize_upper
 
 from conftest import EIGHT_ROWS, random_instance, random_upper_constraints
@@ -58,10 +61,13 @@ def test_instance_rejects_duplicate_ids():
 
 
 def test_instance_rejects_bad_scores():
-    with pytest.raises(ValueError):
-        Instance.from_rows([("u1", "A", -0.1)])
-    with pytest.raises(ValueError):
-        Instance.from_rows([("u1", "A", float("nan"))])
+    valid = [("u1", "A", 0.9), ("u2", "B", 0.0)]
+    for bad in (-0.1, math.inf, -math.inf, math.nan):
+        for rows in ([("u3", "A", bad)], valid + [("u3", "A", bad)]):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                Instance.from_rows(rows)
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                Instance([Individual(u, 0, x) for u, _, x in rows])
 
 
 @pytest.mark.parametrize("groups", [[0, 2], [-1, 0], [1, 1]])
@@ -259,6 +265,58 @@ def test_build_rule_constraints_dispatch(eight):
     assert balanced == floor_balanced_constraints(eight)
     with pytest.raises(ValueError):
         build_rule_constraints(eight, "no-such-rule")
+
+
+def _assert_same_set(built, want):
+    assert (built.upper, built.lower, built.release, built.upper_only) == (
+        want.upper, want.lower, want.release, want.upper_only,
+    )
+
+
+def _two_step(inst, lower):
+    """The construction the builders replace: a whole vacuous set, then a
+    second set from its caps and the raw floors."""
+    return ConstraintSet(ConstraintSet.vacuous(inst).upper, lower)
+
+
+def test_builders_match_the_two_step_construction(eight):
+    three = Instance.from_rows((f"u{i}", "ABC"[i % 3], 1.0 - i / 10) for i in range(9))
+    for inst, label, alpha, start_k in (
+        (eight, "F", 0.3, 1), (eight, "M", 0.5, 4), (three, "B", 0.25, 2),
+    ):
+        floors = [[0] * inst.n for _ in range(inst.n_groups)]
+        floors[inst.group_index(label)] = [
+            max(0, math.ceil(Fraction(str(alpha)) * i - 1)) if i >= start_k else 0
+            for i in range(1, inst.n + 1)
+        ]
+        built = ceil_alpha_constraints(inst, alpha, label, start_k)
+        _assert_same_set(built, _two_step(inst, floors))
+        assert not built.upper_only
+    for start_k in (0, 3, 6):
+        row = [i // 2 if i >= start_k else 0 for i in range(1, 9)]
+        _assert_same_set(
+            floor_balanced_constraints(eight, start_k), _two_step(eight, [row, row])
+        )
+    cap_m, floor_f = [1, 1, 2, 2, 2, 3, 3, 4], [0, 1, 1, 2, 2, 3, 3, 4]
+    loaded = load_constraints(eight, {"upper": {"M": cap_m}, "lower": {"F": floor_f}})
+    caps = [list(row) for row in ConstraintSet.vacuous(eight).upper]
+    caps[eight.group_index("M")] = cap_m
+    floors = [[0] * 8, [0] * 8]
+    floors[eight.group_index("F")] = floor_f
+    _assert_same_set(loaded, ConstraintSet(caps, floors))
+    assert not loaded.upper_only and loaded.release is not None
+
+
+def test_floors_without_a_positive_entry_build_an_upper_only_set(eight, eight_upper):
+    caps = eight_upper.upper
+    sets = [
+        ConstraintSet(caps, lower)
+        for lower in (None, [[0] * 8] * 2, [[-1] * 8, [-(2**40)] * 8])
+    ]
+    for built in sets:
+        assert built.upper_only and built.lower == ((0,) * 8,) * 2
+        _assert_same_set(built, sets[0])
+    assert sets[0].release == eight_upper.release
 
 
 def test_bounds_past_int64_raise_value_error():
