@@ -1,17 +1,17 @@
 """Maxmin-fair ranking under prefix group-fairness constraints.
 
-Build an :class:`Instance`, pick a :class:`ValueModel` preset, state prefix
-group bounds as a :class:`ConstraintSet` (caps and, for one or two groups,
-floors), then call :func:`solve_maxmin` for a randomized
-ranking policy that lexicographically maximizes the sorted vector of
-expected per-individual satisfactions.  The :mod:`fairrank.analysis` module
-holds exact small-instance oracles and fairness metrics; the
-:mod:`fairrank.cli` module exposes everything as a command line tool.
+Build an :class:`Instance` from ``(id, group, score)`` rows, pick a
+:class:`ValueModel` preset, state prefix group bounds as a
+:class:`ConstraintSet` (caps and, for one or two groups, floors), then call
+:func:`solve_maxmin` for a randomized ranking policy that lexicographically
+maximizes the sorted vector of expected per-individual satisfactions.  The
+:mod:`fairrank.analysis` module holds exact small-instance oracles and
+fairness metrics; the :mod:`fairrank.cli` module exposes everything as a
+command line tool.
 """
 
 from .core import (
     ConstraintSet,
-    Individual,
     Instance,
     Ranking,
     ValueModel,
@@ -58,7 +58,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Individual",
     "Instance",
     "Ranking",
     "ValueModel",

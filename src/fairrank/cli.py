@@ -33,6 +33,8 @@ import math
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from . import analysis, baseline as baseline_mod
 from .core import (
     ConstraintSet,
@@ -51,7 +53,7 @@ from .errors import (
     IterationCapExceeded,
     ParseError,
 )
-from .solver import FairDistribution, SolverConfig, sample, solve_maxmin
+from .solver import FairDistribution, SolverConfig, _check_mass, sample, solve_maxmin
 
 __all__ = [
     "parse_instance",
@@ -209,10 +211,15 @@ def distribution_from_dict(
     types :func:`distribution_to_dict` writes, and so is a stored ranking
     that does not list every roster id once.  With ``constraints``, every
     stored ranking must satisfy them; the first that does not raises
-    ``ValueError`` naming its support atom.
+    ``ValueError`` naming its support atom.  The stored probabilities must
+    each be at least zero, the first negative one named by its support
+    atom, and sum to one within 1e-9.  This reader is where a stored file
+    is normalized: a ranking listed more than once becomes one atom with the
+    summed probability, at its first appearance, and atoms of probability
+    zero are dropped.
     """
     _check_stored(data)
-    weighted = []
+    merged: dict[Ranking, float] = {}
     for k, entry in enumerate(data["support"]):
         ranking = Ranking.from_ids(instance, entry["ranking"])
         if constraints is not None and not is_valid(ranking, instance, constraints):
@@ -220,12 +227,15 @@ def distribution_from_dict(
                 f"support atom {k} (ranking {list(entry['ranking'])}) "
                 "violates the constraints"
             )
-        weighted.append(
-            (ranking, float(entry["probability"]), value_model.values(ranking))
-        )
+        if entry["probability"] != 0:
+            merged[ranking] = merged.get(ranking, 0.0) + entry["probability"]
+    rows = np.array([value_model.values(r) for r in merged])
+    _check_mass([entry["probability"] for entry in data["support"]])
     return FairDistribution(
         instance,
-        weighted,
+        list(merged),
+        list(merged.values()),
+        rows,
         lambda_phases=data.get("lambda_phases", ()),
         oracle_calls=data.get("oracle_calls", 0),
         epsilon=data.get("epsilon"),

@@ -1,12 +1,12 @@
 """Domain model for group-constrained ranking.
 
 An instance is a fixed roster of individuals, each with a unique id, a group
-index and a nonnegative relevance score.  A ranking is a bijection from
-individuals onto positions ``1..n``.  A constraint set bounds, for every
-prefix length and every group, how many members of the group may appear
-(upper bounds) or must appear (lower bounds) in that prefix.  A value model
-scores how well a ranking treats each individual relative to their merit
-position.
+label (stored as an index) and a nonnegative relevance score.  A ranking is
+a bijection from individuals onto positions ``1..n``.  A constraint set
+bounds, for every prefix length and every group, how many members of the
+group may appear (upper bounds) or must appear (lower bounds) in that
+prefix.  A value model scores how well a ranking treats each individual
+relative to their merit position.
 
 All objects here are immutable after construction and safe to share across
 threads; the module-level operations are pure functions.
@@ -15,7 +15,6 @@ threads; the module-level operations are pure functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -24,7 +23,6 @@ import numpy as np
 from .errors import InfeasibleConstraints
 
 __all__ = [
-    "Individual",
     "Instance",
     "Ranking",
     "ValueModel",
@@ -39,22 +37,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Individual:
-    """One ranked element: unique id, group index, relevance score."""
-
-    id: str
-    group: int
-    relevance: float
-
-
 class Instance:
     """An ordered roster of individuals partitioned into groups.
 
-    Group indices must cover ``0..n_groups-1`` with no empty group.  The
-    merit order sorts by descending relevance with ties broken by ascending
-    id, so it is a strict total order even when scores coincide.  That same
-    tie rule is reused everywhere an ordering of individuals is needed.
+    Built from ``(id, group_label, score)`` rows: ids must be unique and
+    scores finite and nonnegative.  Group labels are mapped to indices
+    ``0..n_groups-1`` in order of first appearance, so no group is empty.
+    The merit order sorts by descending relevance with ties broken by
+    ascending id, so it is a strict total order even when scores coincide.
+    That same tie rule is reused everywhere an ordering of individuals is
+    needed.
     """
 
     __slots__ = (
@@ -71,43 +63,30 @@ class Instance:
         "_groups",
     )
 
-    def __init__(
-        self,
-        individuals: Iterable[Individual],
-        group_labels: Sequence[str] | None = None,
-    ):
-        individuals = tuple(individuals)
-        self._setup(
-            [u.id for u in individuals],
-            [u.group for u in individuals],
-            [u.relevance for u in individuals],
-            group_labels,
-        )
-
-    def _setup(self, ids: list, groups: list, relevance: list, group_labels) -> None:
-        """Check and store parallel lists of ids, group indices and scores."""
+    def __init__(self, rows: Iterable[tuple[str, str, float]]):
+        label_index: dict[str, int] = {}
+        ids, groups, scores = [], [], []
+        for id_, label, score in rows:
+            ids.append(id_)
+            groups.append(label_index.setdefault(label, len(label_index)))
+            scores.append(score)
         if not ids:
             raise ValueError("an instance needs at least one individual")
         self._index_of = {u: i for i, u in enumerate(ids)}
         if len(self._index_of) != len(ids):
             raise ValueError("individual ids must be unique")
-        relevance = np.array(relevance, dtype=float)
+        relevance = np.array(scores, dtype=float)
         scores = relevance.tolist()
         if not all(0 <= x < math.inf for x in scores):
             raise ValueError("relevance scores must be finite and nonnegative")
         group_of = np.array(groups, dtype=int)
         # The greedy fill indexes groups from Python once per placement.
-        self._groups = tuple(group_of.tolist())
+        self._groups = tuple(groups)
         # bincount, unlike np.unique, does not import numpy.ma on its first
         # call, an import of about 10 ms per CLI process on a 2-core VM.
-        if min(self._groups) < 0 or not (sizes := np.bincount(group_of)).all():
-            raise ValueError("group indices must cover 0..t-1 with no gaps")
-        self.n_groups = len(sizes)
-        if group_labels is None:
-            group_labels = map(str, range(self.n_groups))
-        self.group_labels = tuple(group_labels)
-        if len(self.group_labels) != self.n_groups:
-            raise ValueError("need exactly one label per group")
+        sizes = np.bincount(group_of)
+        self.n_groups = len(label_index)
+        self.group_labels = tuple(label_index)
         self.n = n = len(ids)
         self.ids = tuple(ids)
         order = sorted(range(n), key=lambda i: (-scores[i], ids[i]))
@@ -123,19 +102,9 @@ class Instance:
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple[str, str, float]]) -> "Instance":
-        """Build an instance from ``(id, group_label, score)`` triples.
-
-        Group labels are mapped to indices in order of first appearance.
-        """
-        label_index: dict[str, int] = {}
-        ids, groups, scores = [], [], []
-        for id_, label, score in rows:
-            ids.append(id_)
-            groups.append(label_index.setdefault(label, len(label_index)))
-            scores.append(float(score))
-        instance = object.__new__(cls)
-        instance._setup(ids, groups, scores, list(label_index))
-        return instance
+        """The instance of ``(id, group_label, score)`` rows: the same as
+        ``Instance(rows)``."""
+        return cls(rows)
 
     def index_of(self, id_: str) -> int:
         """The index of the individual with id ``id_``; ``ValueError`` for

@@ -47,8 +47,8 @@ lives in one ``(n + 1) x n`` buffer per solve, so a join copies one row,
 not ``P``, and a solve that ends at its first vertex builds no matrix.
 Products use ``ndarray.dot``: the same BLAS call as ``@``, with less
 dispatch per call.  The returned distribution takes the final active set
-as it stands, in the order its vertices joined: its rankings are
-distinct, so no merge is needed.
+as it stands, in the order its vertices joined, with the weights of the
+last affine step, which already sum to one.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -116,22 +116,20 @@ class RankedAtom:
 class FairDistribution:
     """A distribution over valid rankings with its expected satisfactions.
 
-    Duplicate rankings are merged, atoms of probability zero skipped and
-    probabilities renormalized at construction, so ``expected`` always
-    matches the support exactly; a negative probability is refused.  Atoms
-    are sorted by decreasing probability, ties kept in input order (first
-    appearance for merged duplicates; for the solver, the order in which
-    vertices joined), so the order needs no roster and :func:`sample`
-    draws the same atom for the same input and seed.
-    ``lambda_phases`` records the distinct satisfaction levels in raw value
-    units; ``oracle_calls`` counts every greedy-oracle consultation made
-    while producing the distribution.
-
-    The solver builds its result through :meth:`_from_active`, which skips
-    the merge: its active rankings are distinct and carry positive weight.
-    Both entries end in the one tail :meth:`_assemble`, which sums the
-    probabilities in input order and sorts the atoms, so the constructor
-    given the solver's rankings, weights and rows returns the same bits.
+    Built from parallel atoms: ``rankings``, their ``probabilities`` and
+    ``rows``, a 2-D array whose row ``k`` holds the per-individual values of
+    ``rankings[k]``.  The probabilities must each be at least zero and sum
+    to one within 1e-9; they are kept as given, not renormalized, and
+    ``expected`` is their dot product with the rows.  Rankings are neither
+    merged nor checked for repeats: the solver's active rankings are
+    distinct, and :func:`fairrank.cli.distribution_from_dict` merges those of
+    a stored file.  Atoms are sorted by decreasing probability, ties kept in
+    input order (for the solver, the order in which vertices joined), so the
+    order needs no roster and :func:`sample` draws the same atom for the
+    same input and seed; rebuilding a distribution from its own atoms gives
+    the same bits.  ``lambda_phases`` records the distinct satisfaction
+    levels in raw value units; ``oracle_calls`` counts every greedy-oracle
+    consultation made while producing the distribution.
     """
 
     __slots__ = (
@@ -146,61 +144,24 @@ class FairDistribution:
     def __init__(
         self,
         instance: Instance,
-        weighted: Iterable[tuple[Ranking, float, np.ndarray]],
+        rankings: Sequence[Ranking],
+        probabilities: Sequence[float],
+        rows: np.ndarray,
         lambda_phases: Sequence[float] = (),
         oracle_calls: int = 0,
         epsilon: float | None = None,
     ):
-        weighted = list(weighted)
-        _check_mass([prob for _, prob, _ in weighted])
-        merged: dict[tuple[int, ...], list] = {}
-        for ranking, prob, values in weighted:
-            if prob == 0:
-                continue
-            entry = merged.get(ranking.order)
-            if entry is None:
-                merged[ranking.order] = [ranking, float(prob), values]
-            else:
-                entry[1] += float(prob)
-        entries = list(merged.values())
-        rows = np.array([e[2] for e in entries], dtype=float)
-        if rows.shape != (len(entries), instance.n):
+        _check_mass(probabilities)
+        if rows.shape != (len(rankings), instance.n):
             raise ValueError(
                 f"support values have shape {rows.shape}, expected "
-                f"{(len(entries), instance.n)}"
+                f"{(len(rankings), instance.n)}"
             )
-        self._assemble(
-            instance, [e[0] for e in entries], [e[1] for e in entries], rows,
-            lambda_phases, oracle_calls, epsilon,
-        )
-
-    @classmethod
-    def _from_active(cls, *args) -> "FairDistribution":
-        """The solver's entry, with the arguments of :meth:`_assemble`:
-        distinct rankings with positive probabilities and their value rows."""
-        self = cls.__new__(cls)
-        self._assemble(*args)
-        return self
-
-    def _assemble(
-        self,
-        instance: Instance,
-        rankings: list[Ranking],
-        probabilities: list[float],
-        rows: np.ndarray,
-        lambda_phases: Sequence[float],
-        oracle_calls: int,
-        epsilon: float | None,
-    ) -> None:
-        """Check the mass of distinct atoms valued by the rows of ``rows``;
-        store them sorted, normalized by their sum in input order, and their
-        expectation."""
-        total = _check_mass(probabilities)
         # Stable: equal probabilities keep their input order.
         ranked = sorted(
             range(len(rankings)), key=probabilities.__getitem__, reverse=True
         )
-        probabilities = [probabilities[i] / total for i in ranked]
+        probabilities = [probabilities[i] for i in ranked]
         rankings = [rankings[i] for i in ranked]
         rows = rows.take(ranked, axis=0)
         rows.setflags(write=False)
@@ -234,17 +195,16 @@ class FairDistribution:
         )
 
 
-def _check_mass(probabilities: Sequence[float]) -> float:
+def _check_mass(probabilities: Sequence[float]) -> None:
     """Refuse support probabilities unless each is at least zero and they
-    sum to one within ``_MASS_TOLERANCE`` (so each is also finite); returns
-    their sum, taken in the given order."""
+    sum to one within ``_MASS_TOLERANCE`` (so each is also finite); the
+    first negative one is named by its index."""
     for k, prob in enumerate(probabilities):
         if not prob >= 0:
             raise ValueError(f"support atom {k} has probability {prob}, expected >= 0")
     total = sum(probabilities)
     if not math.isclose(total, 1.0, rel_tol=0, abs_tol=_MASS_TOLERANCE):
         raise ValueError(f"support probabilities sum to {total}, expected 1")
-    return total
 
 
 def _bordered(inverse: np.ndarray, points: np.ndarray, q: np.ndarray):
@@ -474,7 +434,7 @@ def solve_maxmin(
         probabilities, points = [1.0], x[None, :]
     else:
         probabilities = weights.tolist()
-    distribution = FairDistribution._from_active(
+    distribution = FairDistribution(
         instance, list(active.values()), probabilities, points, _levels(x, bound),
         calls, eps,
     )

@@ -276,7 +276,7 @@ def test_dcg_single_position():
 
 def test_distribution_dcg_point_mass(eight, eight_model):
     r = merit_ranking(eight)
-    dist = FairDistribution(eight, [(r, 1.0, eight_model.values(r))])
+    dist = FairDistribution(eight, [r], [1.0], eight_model.values(r)[None, :])
     mean, std = distribution_dcg(eight, dist)
     assert mean == pytest.approx(dcg(eight, r))
     assert std == 0.0
@@ -285,9 +285,7 @@ def test_distribution_dcg_point_mass(eight, eight_model):
 def test_distribution_dcg_two_atoms(eight, eight_model, eight_table):
     rankings, matrix = eight_table
     a, b = rankings[0], rankings[-1]
-    dist = FairDistribution(
-        eight, [(a, 0.25, matrix[0]), (b, 0.75, matrix[-1])]
-    )
+    dist = FairDistribution(eight, [a, b], [0.25, 0.75], matrix[[0, -1]])
     da, db = dcg(eight, a), dcg(eight, b)
     mean, std = distribution_dcg(eight, dist)
     assert mean == pytest.approx(0.25 * da + 0.75 * db)
@@ -312,9 +310,7 @@ def test_metrics_reports(eight, eight_model, eight_table):
     assert rep.min_value == values.min()
     assert rep.spread == spread(values)
     assert rep.dcg_std == 0.0
-    dist = FairDistribution(
-        eight, [(rankings[0], 0.5, matrix[0]), (rankings[1], 0.5, matrix[1])]
-    )
+    dist = FairDistribution(eight, rankings[:2], [0.5, 0.5], matrix[:2])
     drep = metrics_for_distribution(eight, dist)
     assert drep.min_value == pytest.approx(float(dist.expected.min()))
     assert set(drep.to_dict()) == {

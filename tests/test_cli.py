@@ -328,6 +328,36 @@ def test_mistyped_stored_distribution_exits_2(tmp_path, capsys):
             distribution_from_dict(inst, model, data)
 
 
+def test_distribution_from_dict_merges_duplicate_support(eight, eight_model):
+    """A stored file may list one ranking twice: the reader merges the two
+    into one atom."""
+    ranking = list(eight.ids)
+    values = eight_model.values(fairrank.merit_ranking(eight))
+    data = {"support": [{"probability": 0.5, "ranking": ranking}] * 2}
+    dist = distribution_from_dict(eight, eight_model, data)
+    assert dist.support_size == 1
+    assert dist.support[0][1] == pytest.approx(1.0)
+    assert dist.expected.tolist() == values.tolist()
+    assert not dist.atoms[0].values.flags.writeable
+
+
+def test_distribution_from_dict_validates_probabilities(eight, eight_model):
+    """The reader names a negative stored atom by its index in the file and
+    drops atoms of probability zero."""
+    ranking = list(eight.ids)
+
+    def stored(*probabilities):
+        return {
+            "support": [{"probability": p, "ranking": ranking} for p in probabilities]
+        }
+
+    # Positive atoms summing to one do not excuse a negative one.
+    with pytest.raises(ValueError, match="support atom 1 .* probability -0.3"):
+        distribution_from_dict(eight, eight_model, stored(1.0, -0.3))
+    zero = distribution_from_dict(eight, eight_model, stored(1.0, 0.0))
+    assert zero.support_size == 1
+
+
 @pytest.mark.parametrize("rankings, message", [
     ([["a", "a", "zz"]], "individual ids must be unique"),
     ([["a", "b", "c"], ["a", "a", "c"]], "ranking must be a permutation of 0..n-1"),

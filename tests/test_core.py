@@ -16,7 +16,6 @@ import hypothesis.strategies as st
 
 from fairrank import (
     ConstraintSet,
-    Individual,
     InfeasibleConstraints,
     Instance,
     Ranking,
@@ -65,15 +64,17 @@ def test_instance_rejects_bad_scores():
     for bad in (-0.1, math.inf, -math.inf, math.nan):
         for rows in ([("u3", "A", bad)], valid + [("u3", "A", bad)]):
             with pytest.raises(ValueError, match="finite and nonnegative"):
-                Instance.from_rows(rows)
-            with pytest.raises(ValueError, match="finite and nonnegative"):
-                Instance([Individual(u, 0, x) for u, _, x in rows])
+                Instance(rows)
 
 
-@pytest.mark.parametrize("groups", [[0, 2], [-1, 0], [1, 1]])
-def test_instance_rejects_group_gaps(groups):
-    with pytest.raises(ValueError, match="group indices must cover 0..t-1 with no gaps"):
-        Instance(Individual(f"u{i}", g, 0.5) for i, g in enumerate(groups))
+def test_instance_indexes_groups_by_first_appearance():
+    """Group labels become indices 0..t-1 in order of first appearance, so
+    every index names a nonempty group."""
+    inst = Instance([("u1", "B", 0.5), ("u2", "A", 0.4), ("u3", "B", 0.3)])
+    assert inst.group_labels == ("B", "A")
+    assert inst.group_of.tolist() == [0, 1, 0]
+    assert inst.group_sizes.tolist() == [2, 1]
+    assert (inst.group_index("B"), inst.group_index("A")) == (0, 1)
 
 
 def test_ranking_round_trip(eight):
@@ -442,7 +443,7 @@ def lower_bounded_sets(draw):
     split = draw(st.integers(1, n - 1)) if two else n
     groups = draw(st.permutations([0] * split + [1] * (n - split)))
     scores = draw(st.lists(st.sampled_from([0.1, 0.4, 0.7, 1.0]), min_size=n, max_size=n))
-    inst = Instance(Individual(f"u{i}", g, s) for i, (g, s) in enumerate(zip(groups, scores)))
+    inst = Instance((f"u{i}", str(g), s) for i, (g, s) in enumerate(zip(groups, scores)))
     kind = draw(st.sampled_from(["tables", "ceil-alpha", "floor-balanced"]))
     start_k = draw(st.integers(1, 4))
     alpha = draw(st.sampled_from([0.2, 0.25, 0.3, 0.5, 0.6]))

@@ -2,7 +2,6 @@
 
 import dataclasses
 import logging
-from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
@@ -569,14 +568,8 @@ def hand_mixture(eight, eight_upper, eight_model):
     rankings = enumerate_valid_rankings(
         eight, eight_upper
     )[:3]
-    probs = [0.1, 0.6, 0.3]
-    return FairDistribution(
-        eight,
-        [
-            (r, p, eight_model.values(r))
-            for r, p in zip(rankings, probs)
-        ],
-    )
+    rows = np.array([eight_model.values(r) for r in rankings])
+    return FairDistribution(eight, rankings, [0.1, 0.6, 0.3], rows)
 
 
 def test_sample_is_seed_deterministic(hand_mixture):
@@ -597,95 +590,103 @@ def test_sample_frequencies_track_probabilities(hand_mixture):
         assert counts.get(r.order, 0) / draws == pytest.approx(p, abs=0.05)
 
 
-def test_distribution_merges_duplicate_support(eight, eight_model):
-    from fairrank import merit_ranking
-
-    r = merit_ranking(eight)
-    values = eight_model.values(r)
-    dist = FairDistribution(eight, [(r, 0.5, values), (r, 0.5, values)])
-    assert dist.support_size == 1
-    assert dist.support[0][1] == pytest.approx(1.0)
-    assert dist.expected.tolist() == values.tolist()
-    assert not dist.atoms[0].values.flags.writeable
-
-
 def test_distribution_validates_probabilities(eight, eight_model):
     from fairrank import merit_ranking
 
     r = merit_ranking(eight)
-    values = eight_model.values(r)
+    rows = eight_model.values(r)[None, :]
     with pytest.raises(ValueError):
-        FairDistribution(eight, [(r, 0.5, values)])
+        FairDistribution(eight, [r], [0.5], rows)
     with pytest.raises(ValueError, match="sum to"):
-        FairDistribution(eight, [(r, 1.0 + 1e-7, values)])
-    assert FairDistribution(eight, [(r, 1.0 + 5e-10, values)]).support_size == 1
+        FairDistribution(eight, [r], [1.0 + 1e-7], rows)
+    assert FairDistribution(eight, [r], [1.0 + 5e-10], rows).support_size == 1
     with pytest.raises(ValueError, match="shape"):
-        FairDistribution(eight, [(r, 1.0, values[:-1])])
-    # Positive atoms summing to one do not excuse a negative one.
-    with pytest.raises(ValueError, match="support atom 1 .* probability -0.3"):
-        FairDistribution(eight, [(r, 1.0, values), (r, -0.3, values)])
-    zero = FairDistribution(eight, [(r, 1.0, values), (r, 0.0, values)])
-    assert zero.support_size == 1
+        FairDistribution(eight, [r], [1.0], rows[:, :-1])
     with pytest.raises(ValueError):
-        FairDistribution(eight, [])
+        FairDistribution(eight, [], [], np.empty((0, 8)))
+
+
+def test_distribution_keeps_repeated_rankings(eight, eight_model):
+    """The constructor neither merges nor refuses a repeated ranking; only
+    the stored-file reader merges."""
+    from fairrank import merit_ranking
+
+    r = merit_ranking(eight)
+    values = eight_model.values(r)
+    dist = FairDistribution(eight, [r, r], [0.5, 0.5], np.array([values, values]))
+    assert dist.support == [(r, 0.5), (r, 0.5)]
+    assert dist.expected.tolist() == values.tolist()
+
+
+def test_distribution_sorts_atoms_stably_by_probability(
+    eight, eight_upper, eight_model
+):
+    """Atoms are sorted by decreasing probability with ties in input order,
+    each row follows its ranking, and the probabilities keep their bits."""
+    rankings = enumerate_valid_rankings(eight, eight_upper)[:4]
+    rows = np.array([eight_model.values(r) for r in rankings])
+    probabilities = [0.1, 0.3, 0.1 + 1e-10, 0.5 - 1e-10]
+    dist = FairDistribution(eight, rankings, probabilities, rows)
+    order = [3, 1, 2, 0]
+    assert [a.ranking for a in dist.atoms] == [rankings[i] for i in order]
+    assert [a.probability.hex() for a in dist.atoms] == [
+        probabilities[i].hex() for i in order
+    ]
+    assert [a.values.tobytes() for a in dist.atoms] == [
+        rows[i].tobytes() for i in order
+    ]
+    ties = FairDistribution(eight, rankings[:2], [0.5, 0.5], rows[:2])
+    assert [a.ranking for a in ties.atoms] == rankings[:2]
 
 
 @given(ranking_cases(floors=True))
 @settings(max_examples=200, deadline=None)
 def test_solver_and_public_entries_assemble_the_same_bits(case):
-    """The solver's private entry and the public constructor share one
-    assembly tail, so given the solver's own rankings, weights and rows the
-    public constructor returns the same atom orders, probability bits,
-    value rows and ``expected`` bytes.  Rebuilding from the stored atoms
-    renormalizes probabilities whose float sum may sit an ulp off one, so
-    that round trip keeps the orders and moves a probability by at most a
-    few ulps."""
+    """The solver builds its result with the public constructor, which
+    keeps the probabilities as given, so rebuilding a solved distribution
+    from its own atoms returns the same atom orders, probability bits,
+    value rows and ``expected`` bytes."""
     inst, cons, model = case
-    entries = []
-    solver_entry = FairDistribution._from_active.__func__
-
-    def recorded(cls, *args):
-        entries.append(args)
-        return solver_entry(cls, *args)
-
-    with mock.patch.object(FairDistribution, "_from_active", classmethod(recorded)):
-        dist = solve_maxmin(inst, cons, model, SolverConfig(epsilon=1e-3))
-    ((instance, rankings, probabilities, rows, phases, calls, eps),) = entries
-    public = FairDistribution(instance, zip(rankings, probabilities, rows), phases, calls, eps)
+    dist = solve_maxmin(inst, cons, model, SolverConfig(epsilon=1e-3))
     rebuilt = FairDistribution(
-        inst, [(a.ranking, a.probability, a.values) for a in dist.atoms]
+        inst,
+        [a.ranking for a in dist.atoms],
+        [a.probability for a in dist.atoms],
+        np.array([a.values for a in dist.atoms]),
+        dist.lambda_phases,
+        dist.oracle_calls,
+        dist.epsilon,
     )
-    for other in (public, rebuilt):
-        assert [a.ranking.order for a in other.atoms] == [a.ranking.order for a in dist.atoms]
-    assert [a.probability.hex() for a in public.atoms] == [
+    assert [a.ranking.order for a in rebuilt.atoms] == [
+        a.ranking.order for a in dist.atoms
+    ]
+    assert [a.probability.hex() for a in rebuilt.atoms] == [
         a.probability.hex() for a in dist.atoms
     ]
-    assert [a.values.tobytes() for a in public.atoms] == [
+    assert [a.values.tobytes() for a in rebuilt.atoms] == [
         a.values.tobytes() for a in dist.atoms
     ]
-    assert public.expected.tobytes() == dist.expected.tobytes()
-    assert (public.lambda_phases, public.oracle_calls, public.epsilon) == (
+    assert rebuilt.expected.tobytes() == dist.expected.tobytes()
+    assert (rebuilt.lambda_phases, rebuilt.oracle_calls, rebuilt.epsilon) == (
         dist.lambda_phases, dist.oracle_calls, dist.epsilon,
-    )
-    assert [a.probability for a in rebuilt.atoms] == pytest.approx(
-        [a.probability for a in dist.atoms], rel=1e-15, abs=0
     )
     assert not dist.expected.flags.writeable
     assert not any(a.values.flags.writeable for a in dist.atoms)
 
 
 def test_solver_entry_checks_the_mass(eight, eight_model):
-    """The solver's private entry refuses what the public constructor
-    refuses: weights that sum to one only within 1e-6, or a negative one."""
+    """The constructor the solver calls refuses weights that sum to one only
+    within 1e-6, or a negative one, and keeps weights that sum to one within
+    1e-9 as given."""
     from fairrank import merit_ranking
 
     r = merit_ranking(eight)
     rows = eight_model.values(r)[None, :]
     with pytest.raises(ValueError, match="sum to"):
-        FairDistribution._from_active(eight, [r], [1.0 + 1e-6], rows, (), 1, 0.01)
+        FairDistribution(eight, [r], [1.0 + 1e-6], rows, (), 1, 0.01)
     with pytest.raises(ValueError, match="sum to"):
-        FairDistribution._from_active(eight, [r], [1.0 - 1e-6], rows, (), 1, 0.01)
+        FairDistribution(eight, [r], [1.0 - 1e-6], rows, (), 1, 0.01)
     with pytest.raises(ValueError, match="support atom 0 .* probability -1"):
-        FairDistribution._from_active(eight, [r], [-1.0], rows, (), 1, 0.01)
-    dist = FairDistribution._from_active(eight, [r], [1.0 + 5e-10], rows, (), 1, 0.01)
-    assert dist.atoms[0].probability == 1.0
+        FairDistribution(eight, [r], [-1.0], rows, (), 1, 0.01)
+    dist = FairDistribution(eight, [r], [1.0 + 5e-10], rows, (), 1, 0.01)
+    assert dist.atoms[0].probability == 1.0 + 5e-10
