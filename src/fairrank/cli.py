@@ -17,11 +17,11 @@ Subcommands::
 Instances are CSV files with header ``id,group,score``; groups are indexed
 by first appearance.  Constraints come either from a JSON file (explicit
 bound tables or a named rule) or inline via ``--rule``/``--alpha``, not
-both; a constraint flag the chosen source does not read is refused.  All
-results are emitted as JSON, to stdout or ``--output``; a failure prints
-``{"error": ...}`` as JSON to stderr instead.  Exit codes: 0 success, 2
-malformed input, 3 infeasible constraints, 4 size or iteration guard
-exceeded.
+both; a constraint flag or JSON key the chosen source does not read is
+refused.  All results are emitted as JSON, to stdout or ``--output``; a
+failure prints ``{"error": ...}`` as JSON to stderr instead.  Exit codes:
+0 success, 2 malformed input, 3 infeasible constraints, 4 size or
+iteration guard exceeded.
 """
 
 from __future__ import annotations
@@ -65,6 +65,13 @@ __all__ = [
 ]
 
 _HEADER = ["id", "group", "score"]
+
+# The fields each constraint rule reads besides its name; the JSON form
+# refuses any other key, and ``--rule`` takes its choices from here.
+_RULE_FIELDS = {
+    "ceil-alpha": ("alpha", "protected", "start_k"),
+    "floor-balanced": ("start_k",),
+}
 
 
 def parse_instance(text: str) -> Instance:
@@ -111,16 +118,21 @@ def parse_instance(text: str) -> Instance:
 def load_constraints(instance: Instance, spec: dict) -> ConstraintSet:
     """Build constraints from a JSON object.
 
-    Either ``{"rule": "ceil-alpha", "alpha": .., "protected": ..}`` /
-    ``{"rule": "floor-balanced", "start_k": ..}`` or explicit bound tables
-    ``{"upper": {label: [..n integers..]}, "lower": {...}}``; groups
-    missing from a table get vacuous bounds: cap ``min(i, |group|)`` on the
-    first ``i`` positions, floor 0.  Either form builds one constraint set.
-    A field of the wrong JSON type raises ``ValueError``.
+    Either ``{"rule": "ceil-alpha", "alpha": .., "protected": ..,
+    "start_k": ..}`` / ``{"rule": "floor-balanced", "start_k": ..}`` or
+    explicit bound tables ``{"upper": {label: [..n integers..]}, "lower":
+    {...}}``; groups missing from a table get vacuous bounds: cap
+    ``min(i, |group|)`` on the first ``i`` positions, floor 0.  Either form
+    builds one constraint set.  A key the chosen form does not read, an
+    unknown rule and a field of the wrong JSON type raise ``ValueError``.
     """
     if not isinstance(spec, dict):
         raise ValueError("constraint JSON must be an object")
     if "rule" in spec:
+        rule = spec["rule"]
+        if not (isinstance(rule, str) and rule in _RULE_FIELDS):
+            raise ValueError(f"unknown constraint rule {rule!r}")
+        _refuse_unread(spec, ("rule", *_RULE_FIELDS[rule]))
         for key, kinds, what in (
             ("alpha", (int, float), "a number"),
             ("protected", (str, int), "a group label or index"),
@@ -130,12 +142,13 @@ def load_constraints(instance: Instance, spec: dict) -> ConstraintSet:
                 raise ValueError(f"constraint rule field {key!r} must be {what}")
         return build_rule_constraints(
             instance,
-            spec["rule"],
+            rule,
             alpha=spec.get("alpha"),
             protected_group=spec.get("protected"),
             start_k=spec.get("start_k"),
         )
-    if "upper" not in spec and "lower" not in spec:
+    _refuse_unread(spec, ("upper", "lower"))
+    if not spec:
         raise ValueError("constraint JSON needs a rule or bound tables")
     n = instance.n
     upper = _vacuous_upper(instance)
@@ -161,6 +174,16 @@ def load_constraints(instance: Instance, spec: dict) -> ConstraintSet:
             # array; testing the range first spares most bounds min/max.
             table[g] = [x if 0 <= x <= n else min(max(x, 0), n) for x in bounds]
     return ConstraintSet(upper, lower)
+
+
+def _refuse_unread(spec: dict, read: tuple[str, ...]) -> None:
+    """``ValueError`` naming the first key of ``spec`` not in ``read``."""
+    for key in spec:
+        if key not in read:
+            raise ValueError(
+                f"constraint JSON key {key!r} is not read; this form reads "
+                + ", ".join(map(repr, read))
+            )
 
 
 def _top_k(instance: Instance, k: int | None) -> ValueModel:
@@ -208,8 +231,9 @@ def distribution_from_dict(
     re-evaluating satisfactions against the given instance and model.
 
     ``data`` is refused with ``ValueError`` unless it has the shape and JSON
-    types :func:`distribution_to_dict` writes, and so is a stored ranking
-    that does not list every roster id once.  With ``constraints``, every
+    types :func:`distribution_to_dict` writes, with every probability, phase
+    and epsilon a finite number within float range, and so is a stored
+    ranking that does not list every roster id once.  With ``constraints``, every
     stored ranking must satisfy them; the first that does not raises
     ``ValueError`` naming its support atom.  The stored probabilities must
     each be at least zero, the first negative one named by its support
@@ -248,32 +272,37 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _finite(x) -> bool:
+    """Whether ``x`` is a JSON number within float range: an integer of 400
+    digits would overflow where the reader sums or stores it."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
 def _check_stored(data) -> None:
     """``ValueError`` unless ``data`` has the shape and JSON types of a
-    stored distribution."""
-    number = (int, float)
+    stored distribution, every number finite and within float range."""
     if not (isinstance(data, dict) and isinstance(data.get("support"), list)):
         raise ValueError("a stored distribution is a JSON object with a support list")
     for k, entry in enumerate(data["support"]):
         if not (
             isinstance(entry, dict)
-            and type(entry.get("probability")) in number
+            and _finite(entry.get("probability"))
             and isinstance(entry.get("ranking"), list)
             and all(isinstance(u, str) for u in entry["ranking"])
         ):
             raise ValueError(
-                f"support atom {k} needs a numeric probability and a ranking list of ids"
+                f"support atom {k} needs a finite probability and a ranking list of ids"
             )
     phases = data.get("lambda_phases", [])
     if not (
         isinstance(phases, list)
-        and all(type(x) in number for x in phases)
+        and all(map(_finite, phases))
         and type(data.get("oracle_calls", 0)) is int
-        and type(data.get("epsilon")) in (*number, type(None))
+        and (data.get("epsilon") is None or _finite(data["epsilon"]))
     ):
         raise ValueError(
-            "lambda_phases must list numbers, oracle_calls must be an integer "
-            "and epsilon a number or null"
+            "lambda_phases must list finite numbers, oracle_calls must be an "
+            "integer and epsilon a finite number or null"
         )
 
 
@@ -295,10 +324,6 @@ def _emit(payload: dict, output: str | None) -> None:
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _instance_from_args(args) -> Instance:
-    return parse_instance(_read(args.input))
 
 
 def _constraints_from_args(args, instance: Instance) -> ConstraintSet:
@@ -323,22 +348,19 @@ def _constraints_from_args(args, instance: Instance) -> ConstraintSet:
     )
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(epsilon=args.epsilon)
-
-
 def _cmd_solve(args) -> dict:
-    instance = _instance_from_args(args)
+    instance = parse_instance(_read(args.input))
     constraints = _constraints_from_args(args, instance)
     value_model = _VALUE_FNS[args.value_fn](instance, args.k)
-    distribution = solve_maxmin(instance, constraints, value_model, _solver_config(args))
+    config = SolverConfig(args.epsilon)
+    distribution = solve_maxmin(instance, constraints, value_model, config)
     payload = distribution_to_dict(distribution)
     payload["metrics"] = analysis.metrics_for_distribution(instance, distribution).to_dict()
     return payload
 
 
 def _cmd_baseline(args) -> dict:
-    instance = _instance_from_args(args)
+    instance = parse_instance(_read(args.input))
     constraints = _constraints_from_args(args, instance)
     ranking = baseline_mod.deterministic_baseline(instance, constraints)
     value_model = _VALUE_FNS[args.value_fn](instance, args.k)
@@ -354,7 +376,7 @@ def _cmd_baseline(args) -> dict:
 def _cmd_sample(args) -> dict:
     data = json.loads(_read(args.distribution))
     if args.input:
-        instance = _instance_from_args(args)
+        instance = parse_instance(_read(args.input))
         constraints = _constraints_from_args(args, instance)
     elif any(
         getattr(args, name) is not None
@@ -371,7 +393,7 @@ def _cmd_sample(args) -> dict:
 
 
 def _cmd_metrics(args) -> dict:
-    instance = _instance_from_args(args)
+    instance = parse_instance(_read(args.input))
     value_model = _VALUE_FNS[args.value_fn](instance, args.k)
     data = json.loads(_read(args.distribution))
     constraints = _constraints_from_args(args, instance)
@@ -382,7 +404,7 @@ def _cmd_metrics(args) -> dict:
 
 
 def _cmd_decompose(args) -> dict:
-    instance = _instance_from_args(args)
+    instance = parse_instance(_read(args.input))
     constraints = _constraints_from_args(args, instance)
     value_model = _VALUE_FNS[args.value_fn](instance, args.k)
     decomposition = analysis.fair_decomposition(instance, constraints, value_model)
@@ -399,7 +421,7 @@ def _cmd_decompose(args) -> dict:
 
 
 def _cmd_experiment(args) -> dict:
-    instance = _instance_from_args(args)
+    instance = parse_instance(_read(args.input))
     value_model = _VALUE_FNS[args.value_fn](instance, args.k)
     alphas = (
         [float(a) for a in str(args.alpha).split(",")]
@@ -408,7 +430,7 @@ def _cmd_experiment(args) -> dict:
     )
     protected = args.protected if args.protected is not None else instance.group_labels[0]
     rows = []
-    config = _solver_config(args)
+    config = SolverConfig(args.epsilon)
     for alpha in alphas:
         constraints = build_rule_constraints(
             instance, "ceil-alpha", alpha=alpha,
@@ -448,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=input_required,
                        help="instance CSV path")
         p.add_argument("--constraints", help="constraint JSON path")
-        p.add_argument("--rule", choices=["ceil-alpha", "floor-balanced"],
+        p.add_argument("--rule", choices=list(_RULE_FIELDS),
                        help="inline constraint rule")
         p.add_argument("--alpha", type=float, default=None,
                        help="protected share for the ceil-alpha rule")
@@ -529,8 +551,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except InfeasibleConstraints as exc:
         _emit_error(exc)
         return _EXIT_INFEASIBLE
-    except (ParseError, DuplicateId, ValueError, KeyError,
-            json.JSONDecodeError, OSError, FairRankingError) as exc:
+    except (ValueError, KeyError, OSError, FairRankingError) as exc:
         _emit_error(exc)
         return _EXIT_PARSE
     return 0

@@ -106,14 +106,6 @@ class Instance:
         ``Instance(rows)``."""
         return cls(rows)
 
-    def index_of(self, id_: str) -> int:
-        """The index of the individual with id ``id_``; ``ValueError`` for
-        an id not on the roster."""
-        try:
-            return self._index_of[id_]
-        except KeyError:
-            raise ValueError(f"unknown id {id_!r}") from None
-
     def group_index(self, label_or_index: str | int) -> int:
         """Resolve a group given either its label or its integer index."""
         if isinstance(label_or_index, str):
@@ -187,14 +179,14 @@ class Ranking:
 class ValueModel:
     """Scores ``value(r, u) = position_scores[r(u)] - merit_scores[u]``.
 
-    Scores must be finite, and ``position_scores`` nonincreasing in the
-    position (strictly decreasing for the two graded presets); that
-    monotonicity is what makes the weighted assignment problem
-    greedy-solvable.  ``merit_scores`` is an individual-specific offset,
-    normally the position score the individual would earn in the pure merit
-    ranking, so the value measures gain or loss relative to merit.
+    Scores must be finite and ``position_scores`` nonincreasing in the
+    position; that monotonicity is what makes the weighted assignment
+    problem greedy-solvable.  ``merit_scores`` is an individual-specific
+    offset, normally the position score the individual would earn in the
+    pure merit ranking, so the value measures gain or loss relative to merit.
 
-    Presets:
+    Presets, each taking every merit score from its own position scores
+    (``g[u] = f[merit_position[u] - 1]``):
 
     * ``position_diff``: score ``n - i`` at position ``i``; the value is the
       (signed) number of positions the individual moved up from merit.
@@ -204,14 +196,9 @@ class ValueModel:
       value is -1, 0 or +1 depending on crossing the top-``k`` boundary.
     """
 
-    __slots__ = ("kind", "position_scores", "merit_scores", "_g", "_scores")
+    __slots__ = ("position_scores", "merit_scores", "_g", "_scores")
 
-    def __init__(
-        self,
-        kind: str,
-        position_scores: Sequence[float],
-        merit_scores: Sequence[float],
-    ):
+    def __init__(self, position_scores: Sequence[float], merit_scores: Sequence[float]):
         position_scores = [float(x) for x in position_scores]
         merit_scores = [float(x) for x in merit_scores]
         if len(position_scores) != len(merit_scores):
@@ -221,12 +208,8 @@ class ValueModel:
         g = np.array(merit_scores)
         if not (np.isfinite(scores).all() and np.isfinite(g).all()):
             raise ValueError("position and merit scores must be finite")
-        diffs = scores[2:] - scores[1:-1]
-        if (diffs > 0).any():
+        if (scores[2:] > scores[1:-1]).any():
             raise ValueError("position scores must be nonincreasing")
-        if kind in ("position-diff", "log-ratio") and (diffs >= 0).any():
-            raise ValueError(f"{kind} requires strictly decreasing position scores")
-        self.kind = kind
         self.position_scores = tuple(position_scores)
         self.merit_scores = tuple(merit_scores)
         g.setflags(write=False)
@@ -234,33 +217,31 @@ class ValueModel:
         self._scores = scores
 
     @classmethod
+    def _preset(cls, instance: Instance, f: list[float]) -> "ValueModel":
+        return cls(f, [f[p - 1] for p in instance.merit_position.tolist()])
+
+    @classmethod
     def position_diff(cls, instance: Instance) -> "ValueModel":
         n = instance.n
-        f = [n - i for i in range(1, n + 1)]
-        g = [n - p for p in instance.merit_position.tolist()]
-        return cls("position-diff", f, g)
+        return cls._preset(instance, [n - i for i in range(1, n + 1)])
 
     @classmethod
     def log_ratio(cls, instance: Instance) -> "ValueModel":
         n = instance.n
-        f = [math.log(n / i) for i in range(1, n + 1)]
-        g = [math.log(n / p) for p in instance.merit_position.tolist()]
-        return cls("log-ratio", f, g)
+        return cls._preset(instance, [math.log(n / i) for i in range(1, n + 1)])
 
     @classmethod
     def top_k_selection(cls, instance: Instance, k: int) -> "ValueModel":
         n = instance.n
         if not 1 <= k <= n:
             raise ValueError("k must be between 1 and n")
-        f = [1.0 if i <= k else 0.0 for i in range(1, n + 1)]
-        g = [1.0 if p <= k else 0.0 for p in instance.merit_position.tolist()]
-        return cls("top-k", f, g)
+        return cls._preset(instance, [1.0 if i <= k else 0.0 for i in range(1, n + 1)])
 
     @classmethod
     def custom(
         cls, position_scores: Sequence[float], merit_scores: Sequence[float]
     ) -> "ValueModel":
-        return cls("custom", position_scores, merit_scores)
+        return cls(position_scores, merit_scores)
 
     @property
     def n(self) -> int:
@@ -283,7 +264,7 @@ class ValueModel:
         return self._scores.take(ranking.position) - self._g
 
     def __repr__(self) -> str:
-        return f"ValueModel(kind={self.kind!r}, n={self.n})"
+        return f"ValueModel(n={self.n})"
 
 
 def _vacuous_upper(instance: Instance) -> list[list[int]]:
@@ -485,17 +466,17 @@ def build_rule_constraints(
     protected_group: str | int | None = None,
     start_k: int | None = None,
 ) -> ConstraintSet:
-    """Dispatch on the named constraint rule used by config files."""
+    """Dispatch on the named constraint rule used by config files; a
+    ``start_k`` of ``None`` leaves the rule's own default."""
+    start = {} if start_k is None else {"start_k": start_k}
     if rule == "ceil-alpha":
         if alpha is None:
             raise ValueError("the ceil-alpha rule needs alpha")
         if protected_group is None:
             raise ValueError("the ceil-alpha rule needs a protected group")
-        return ceil_alpha_constraints(
-            instance, alpha, protected_group, start_k if start_k is not None else 1
-        )
+        return ceil_alpha_constraints(instance, alpha, protected_group, **start)
     if rule == "floor-balanced":
-        return floor_balanced_constraints(instance, 3 if start_k is None else start_k)
+        return floor_balanced_constraints(instance, **start)
     raise ValueError(f"unknown constraint rule {rule!r}")
 
 

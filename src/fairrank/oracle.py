@@ -29,11 +29,7 @@ import numpy as np
 from .core import ConstraintSet, Instance, Ranking, ValueModel, _equivalent_caps
 from .errors import InfeasibleConstraints
 
-__all__ = [
-    "OracleResult",
-    "weight_order_key",
-    "best_response",
-]
+__all__ = ["best_response"]
 
 
 class OracleResult:

@@ -82,7 +82,6 @@ _ORACLE_CALL_CAP = 50_000_000
 
 __all__ = [
     "SolverConfig",
-    "RankedAtom",
     "FairDistribution",
     "solve_maxmin",
     "sample",

@@ -67,7 +67,7 @@ def test_enumeration_guard():
 def test_max_total_value_goldens(eight, eight_lower, eight_model):
     assert max_total_value(eight, eight_lower, eight_model, []) == 0.0
     assert max_total_value(eight, eight_lower, eight_model, range(8)) == 0.0
-    males = [eight.index_of(u) for u in MALES]
+    males = [eight.ids.index(u) for u in MALES]
     assert max_total_value(eight, eight_lower, eight_model, males) == -3.0
 
 

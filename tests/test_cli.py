@@ -68,6 +68,16 @@ def test_parse_instance_errors():
         with pytest.raises(ParseError, match="not finite") as err:
             parse_instance(f"id,group,score\nu1,a,1.0\nu2,a,{score}\n")
         assert err.value.row == 3
+    # Blank rows are skipped, but later row numbers still count them.
+    for text, message, row in [
+        ("", "empty input", None),
+        ("id,group,score\nu1,a,1.0\n\n,,\nu2,a,high\n", "bad score", 5),
+        ("id,group,score\nu1,a\n", "expected 3 fields, got 2", 2),
+        ("id,group,score\nu1,a,1.0\n ,a,0.5\n", "empty id", 3),
+    ]:
+        with pytest.raises(ParseError, match=message) as err:
+            parse_instance(text)
+        assert err.value.row == row
 
 
 @pytest.mark.parametrize("group", ["", "  "])
@@ -313,6 +323,9 @@ def test_mistyped_stored_distribution_exits_2(tmp_path, capsys):
         "list.json": [1, 2],
         "phases.json": {"support": [atom], "lambda_phases": 5},
         "null_phase.json": {"support": [atom], "lambda_phases": [None]},
+        # 401-digit integers: no float holds them.
+        "huge.json": {"support": [dict(atom, probability=10**400)]},
+        "huge_phase.json": {"support": [atom], "lambda_phases": [10**400]},
     }
     for name, data in files.items():
         path = tmp_path / name
@@ -402,6 +415,29 @@ def test_mistyped_constraint_json_exits_2(spec, tmp_path, capsys):
     ])
     assert code == 2
     assert payload["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"rule": "floor-balanced", "upper": {"M": [0, 1, 2]}}, "upper"),
+    ({"rule": "floor-balanced", "alpha": 0.3, "protected": "F"}, "alpha"),
+    ({"rule": "floor-balanced", "protected": "F"}, "protected"),
+    ({"rule": "ceil-alpha", "alpha": 0.3, "lower": {"F": [1, 1, 1]}}, "lower"),
+    ({"upper": {"M": [0, 1, 2]}, "lowr": {"F": [1, 1, 1]}}, "lowr"),
+    ({"upper": {"M": [0, 1, 2]}, "start_k": 2}, "start_k"),
+])
+def test_unread_constraint_json_key_exits_2(spec, key, tmp_path, capsys):
+    """A constraint-file key that the chosen form does not read is refused
+    by name, not dropped: a cap table beside a rule would otherwise leave M
+    free to take position 1."""
+    roster = tmp_path / "abc.csv"
+    roster.write_text(ABC_CSV)
+    path = tmp_path / "constraints.json"
+    path.write_text(json.dumps(spec))
+    code, payload = run_json(capsys, [
+        "baseline", "--input", str(roster), "--constraints", str(path),
+    ])
+    assert code == 2
+    assert payload["error"]["message"].startswith(f"constraint JSON key {key!r} is not read")
 
 
 @pytest.mark.parametrize("ranking, message", [

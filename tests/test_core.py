@@ -100,12 +100,6 @@ def test_ranking_from_ids_needs_a_permutation_of_the_roster():
     assert Ranking.from_ids(inst, ["d", "c", "b", "a"]).order == (3, 2, 1, 0)
 
 
-def test_index_of_refuses_an_unknown_id(eight):
-    assert eight.index_of("u3") == 2
-    with pytest.raises(ValueError, match=r"^unknown id 'zz'$"):
-        eight.index_of("zz")
-
-
 def test_is_valid_refuses_a_ranking_of_another_length(eight, eight_lower):
     vacuous = ConstraintSet.vacuous(eight)
     for order in ([0, 1, 2], list(range(9))):
@@ -122,8 +116,8 @@ def test_position_diff_zero_on_merit(eight, eight_model):
 def test_position_diff_single_swap(eight, eight_model):
     r = Ranking.from_ids(eight, ["u2", "u1", "u3", "u4", "u5", "u6", "u7", "u8"])
     vals = eight_model.values(r)
-    assert vals[eight.index_of("u1")] == -1
-    assert vals[eight.index_of("u2")] == 1
+    assert vals[eight.ids.index("u1")] == -1
+    assert vals[eight.ids.index("u2")] == 1
     assert vals.sum() == 0
 
 
@@ -135,8 +129,8 @@ def test_log_ratio_values(eight):
         eight, ["u2", "u1", "u3", "u4", "u5", "u6", "u7", "u8"]
     )
     vals = model.values(swapped)
-    assert vals[eight.index_of("u1")] == pytest.approx(-np.log(2))
-    assert vals[eight.index_of("u2")] == pytest.approx(np.log(2))
+    assert vals[eight.ids.index("u1")] == pytest.approx(-np.log(2))
+    assert vals[eight.ids.index("u2")] == pytest.approx(np.log(2))
     assert not model.integer_valued
 
 
@@ -144,9 +138,9 @@ def test_top_k_values(eight):
     model = ValueModel.top_k_selection(eight, k=4)
     r = Ranking.from_ids(eight, ["u1", "u2", "u3", "u6", "u4", "u7", "u5", "u8"])
     vals = model.values(r)
-    assert vals[eight.index_of("u6")] == 1
-    assert vals[eight.index_of("u4")] == -1
-    assert vals[eight.index_of("u1")] == 0
+    assert vals[eight.ids.index("u6")] == 1
+    assert vals[eight.ids.index("u4")] == -1
+    assert vals[eight.ids.index("u1")] == 0
     assert set(np.unique(vals)) <= {-1.0, 0.0, 1.0}
 
 

@@ -51,7 +51,7 @@ def test_oracle_matches_enumeration_on_eight(eight, eight_upper, eight_model):
 
 
 def test_indicator_weights_give_group_best_total(eight, eight_upper, eight_model):
-    males = [eight.index_of(u) for u in ("u1", "u2", "u4", "u5")]
+    males = [eight.ids.index(u) for u in ("u1", "u2", "u4", "u5")]
     w = np.zeros(8)
     w[males] = 1.0
     res = best_response(eight, eight_upper, eight_model, w)

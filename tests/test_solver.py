@@ -472,7 +472,7 @@ def test_box_guard_reads_one_width_where_the_ranges_sit_apart(eight, eight_upper
     full width the width itself ends the solve at the first vertex."""
     f = [1 / i for i in range(1, 9)]
     g = [f[p - 1] for p in eight.merit_position]
-    g[eight.index_of("u2")] += 2**20
+    g[eight.ids.index("u2")] += 2**20
     model = ValueModel.custom(f, g)
     half = 0.5 * (f[0] - f[-1])
     pinned = {
@@ -502,7 +502,7 @@ def test_large_offset_on_the_last_individual_solves(eight, eight_upper):
     width the solve should land within epsilon of the exact levels."""
     f = [1 / i for i in range(1, 9)]
     g = [f[p - 1] for p in eight.merit_position]
-    g[eight.index_of("u8")] += 2**20
+    g[eight.ids.index("u8")] += 2**20
     model = ValueModel.custom(f, g)
     targets = fair_decomposition(eight, eight_upper, model).targets
     for eps in (0.4375, 0.65625):
