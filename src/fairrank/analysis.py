@@ -1,7 +1,8 @@
 """Exact analysis tools and fairness metrics.
 
 The exact tools are the independent ground truth the solver is checked
-against: enumeration of every valid ranking, the best achievable total
+against: enumeration of every valid ranking (each permutation, kept when
+:func:`fairrank.core.is_valid` accepts it), the best achievable total
 value of a set, the exact ceiling on the worst expected satisfaction, and
 the block decomposition showing which individuals are pinned at which
 satisfaction level.  Enumeration is limited to ``n <= 10``; the
@@ -20,9 +21,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ConstraintSet, Instance, Ranking, ValueModel
+from .core import ConstraintSet, Instance, Ranking, ValueModel, is_valid
 from .errors import InstanceTooLarge
 from .oracle import _fill, _greedy_fill, best_response
+from .solver import FairDistribution
 
 __all__ = [
     "enumerate_valid_rankings",
@@ -48,10 +50,10 @@ _FLOAT_TIE_TOL = 1e-9
 def enumerate_valid_rankings(
     instance: Instance, constraints: ConstraintSet
 ) -> list[Ranking]:
-    """All valid rankings, in lexicographic order of their index tuples.
-
-    Honors lower bounds directly, so it also serves as the independent
-    check for the lower-to-upper constraint rewrite.  Guarded to
+    """All valid rankings, in lexicographic order of their index tuples:
+    the permutations of ``0..n-1`` that :func:`fairrank.core.is_valid`
+    accepts, so the raw bounds, floors included, are read by that one check
+    and a set of another shape raises its ``ValueError``.  Guarded to
     ``n <= 10``.
     """
     n = instance.n
@@ -59,36 +61,8 @@ def enumerate_valid_rankings(
         raise InstanceTooLarge(
             f"enumeration is limited to n <= {ENUMERATION_GUARD}, got n = {n}"
         )
-    upper = constraints.upper
-    lower = constraints.lower
-    t = instance.n_groups
-    group_of = instance.group_of
-    out: list[Ranking] = []
-    used = [False] * n
-    counts = [0] * t
-    prefix: list[int] = []
-
-    def extend(i: int) -> None:
-        if i == n:
-            out.append(Ranking(tuple(prefix)))
-            return
-        for u in range(n):
-            if used[u]:
-                continue
-            g = group_of[u]
-            if counts[g] + 1 > upper[g][i]:
-                continue
-            counts[g] += 1
-            if all(counts[k] >= lower[k][i] for k in range(t)):
-                used[u] = True
-                prefix.append(u)
-                extend(i + 1)
-                prefix.pop()
-                used[u] = False
-            counts[g] -= 1
-
-    extend(0)
-    return out
+    rankings = map(Ranking, itertools.permutations(range(n)))
+    return [r for r in rankings if is_valid(r, instance, constraints)]
 
 
 def max_total_value(
@@ -323,12 +297,9 @@ def metrics_for_distribution(instance: Instance, distribution) -> MetricsReport:
 def metrics_for_ranking(
     instance: Instance, value_model: ValueModel, ranking: Ranking
 ) -> MetricsReport:
-    """Metrics of a single deterministic ranking."""
+    """Metrics of a single deterministic ranking: those of the distribution
+    that serves it with probability one."""
     values = value_model.values(ranking)
-    return MetricsReport(
-        min_value=float(values.min()),
-        spread=spread(values),
-        gini=gini(values),
-        dcg_mean=dcg(instance, ranking),
-        dcg_std=0.0,
+    return metrics_for_distribution(
+        instance, FairDistribution(instance, [ranking], [1.0], values[None, :])
     )

@@ -18,10 +18,11 @@ Instances are CSV files with header ``id,group,score``; groups are indexed
 by first appearance.  Constraints come either from a JSON file (explicit
 bound tables or a named rule) or inline via ``--rule``/``--alpha``, not
 both; a constraint flag or JSON key the chosen source does not read is
-refused.  All results are emitted as JSON, to stdout or ``--output``; a
-failure prints ``{"error": ...}`` as JSON to stderr instead.  Exit codes:
-0 success, 2 malformed input, 3 infeasible constraints, 4 size or
-iteration guard exceeded.
+refused, and so is ``--k`` without ``--value-fn top-k``.  All results are
+emitted as JSON, to stdout or ``--output``; a failure prints
+``{"error": ...}`` as JSON to stderr instead.  Exit codes: 0 success,
+2 malformed input, 3 infeasible constraints, 4 size or iteration guard
+exceeded.
 """
 
 from __future__ import annotations
@@ -186,19 +187,24 @@ def _refuse_unread(spec: dict, read: tuple[str, ...]) -> None:
             )
 
 
-def _top_k(instance: Instance, k: int | None) -> ValueModel:
-    if k is None:
-        raise ValueError("--value-fn top-k needs --k")
-    return ValueModel.top_k_selection(instance, k)
-
-
-# Every ``--value-fn`` name, with the model it builds from the roster and
-# ``--k``; both parsers take their choices from here.
+# Every ``--value-fn`` name, with the model it builds from the roster (and
+# ``--k`` for top-k); both parsers take their choices from here.
 _VALUE_FNS = {
-    "position-diff": lambda instance, k: ValueModel.position_diff(instance),
-    "log-ratio": lambda instance, k: ValueModel.log_ratio(instance),
-    "top-k": _top_k,
+    "position-diff": ValueModel.position_diff,
+    "log-ratio": ValueModel.log_ratio,
+    "top-k": ValueModel.top_k_selection,
 }
+
+
+def _value_model(args, instance: Instance) -> ValueModel:
+    """The ``--value-fn`` model of the roster; ``ValueError`` unless ``--k``
+    is given exactly when the top-k model reads it."""
+    if args.value_fn == "top-k" and args.k is None:
+        raise ValueError("--value-fn top-k needs --k")
+    if args.value_fn != "top-k" and args.k is not None:
+        raise ValueError("--k needs --value-fn top-k")
+    k = () if args.k is None else (args.k,)
+    return _VALUE_FNS[args.value_fn](instance, *k)
 
 
 def _sig12(x: float) -> float:
@@ -351,7 +357,7 @@ def _constraints_from_args(args, instance: Instance) -> ConstraintSet:
 def _cmd_solve(args) -> dict:
     instance = parse_instance(_read(args.input))
     constraints = _constraints_from_args(args, instance)
-    value_model = _VALUE_FNS[args.value_fn](instance, args.k)
+    value_model = _value_model(args, instance)
     config = SolverConfig(args.epsilon)
     distribution = solve_maxmin(instance, constraints, value_model, config)
     payload = distribution_to_dict(distribution)
@@ -363,7 +369,7 @@ def _cmd_baseline(args) -> dict:
     instance = parse_instance(_read(args.input))
     constraints = _constraints_from_args(args, instance)
     ranking = baseline_mod.deterministic_baseline(instance, constraints)
-    value_model = _VALUE_FNS[args.value_fn](instance, args.k)
+    value_model = _value_model(args, instance)
     values = value_model.values(ranking)
     return {
         "ranking": list(ranking.ids(instance)),
@@ -394,7 +400,7 @@ def _cmd_sample(args) -> dict:
 
 def _cmd_metrics(args) -> dict:
     instance = parse_instance(_read(args.input))
-    value_model = _VALUE_FNS[args.value_fn](instance, args.k)
+    value_model = _value_model(args, instance)
     data = json.loads(_read(args.distribution))
     constraints = _constraints_from_args(args, instance)
     distribution = distribution_from_dict(instance, value_model, data, constraints)
@@ -406,7 +412,7 @@ def _cmd_metrics(args) -> dict:
 def _cmd_decompose(args) -> dict:
     instance = parse_instance(_read(args.input))
     constraints = _constraints_from_args(args, instance)
-    value_model = _VALUE_FNS[args.value_fn](instance, args.k)
+    value_model = _value_model(args, instance)
     decomposition = analysis.fair_decomposition(instance, constraints, value_model)
     return {
         "blocks": [
@@ -422,7 +428,7 @@ def _cmd_decompose(args) -> dict:
 
 def _cmd_experiment(args) -> dict:
     instance = parse_instance(_read(args.input))
-    value_model = _VALUE_FNS[args.value_fn](instance, args.k)
+    value_model = _value_model(args, instance)
     alphas = (
         [float(a) for a in str(args.alpha).split(",")]
         if args.alpha is not None

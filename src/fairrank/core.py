@@ -181,7 +181,10 @@ class ValueModel:
 
     Scores must be finite and ``position_scores`` nonincreasing in the
     position; that monotonicity is what makes the weighted assignment
-    problem greedy-solvable.  ``merit_scores`` is an individual-specific
+    problem greedy-solvable.  Every value lies in ``[f_n - max g, f_1 -
+    min g]`` (position scores ``f``, merit scores ``g``), and that range's
+    width must be finite too, so no value and no gap between two values
+    overflows.  ``merit_scores`` is an individual-specific
     offset, normally the position score the individual would earn in the
     pure merit ranking, so the value measures gain or loss relative to merit.
 
@@ -210,6 +213,12 @@ class ValueModel:
             raise ValueError("position and merit scores must be finite")
         if (scores[2:] > scores[1:-1]).any():
             raise ValueError("position scores must be nonincreasing")
+        # Python floats: an overflow gives inf or nan without a numpy warning.
+        if position_scores and not math.isfinite(
+            (position_scores[0] - min(merit_scores))
+            - (position_scores[-1] - max(merit_scores))
+        ):
+            raise ValueError("the range of values must have a finite width")
         self.position_scores = tuple(position_scores)
         self.merit_scores = tuple(merit_scores)
         g.setflags(write=False)
@@ -413,7 +422,7 @@ def is_valid(ranking: Ranking, instance: Instance, constraints: ConstraintSet) -
     upper = constraints.upper
     lower = constraints.lower
     counts = [0] * instance.n_groups
-    group_of = instance.group_of
+    group_of = instance._groups
     for i, u in enumerate(ranking.order):
         g = group_of[u]
         counts[g] += 1

@@ -359,13 +359,10 @@ def solve_maxmin(
     max_active = 1
     x = q
     while bound > eps:
-        # Weights max(x) - x: a NaN or infinite entry of x leaves a NaN or
-        # -inf in ``shifted``, and both propagate to its minimum.
+        # Weights max(x) - x, finite: x lies in the value model's range,
+        # whose width is finite.
         shifted = x - np.maximum.reduce(x)
-        heaviest = np.minimum.reduce(shifted)
-        if not heaviest > -math.inf:
-            raise ValueError("weights must be finite and nonnegative")
-        if heaviest == 0:
+        if np.minimum.reduce(shifted) == 0:
             # Every vertex has the sum of a flat x, so x . (x - q) = 0.
             bound, stop = 0.0, "gap"
             break

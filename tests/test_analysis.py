@@ -304,12 +304,14 @@ def test_lorenz_dominates_basics():
 
 def test_metrics_reports(eight, eight_model, eight_table):
     rankings, matrix = eight_table
-    r = rankings[0]
-    rep = metrics_for_ranking(eight, eight_model, r)
-    values = eight_model.values(r)
-    assert rep.min_value == values.min()
-    assert rep.spread == spread(values)
-    assert rep.dcg_std == 0.0
+    for r in rankings[::1000]:
+        rep = metrics_for_ranking(eight, eight_model, r)
+        values = eight_model.values(r)
+        assert rep.min_value == values.min()
+        assert rep.spread == spread(values)
+        assert rep.gini == gini(values)
+        assert rep.dcg_mean == dcg(eight, r)
+        assert rep.dcg_std == 0.0
     dist = FairDistribution(eight, rankings[:2], [0.5, 0.5], matrix[:2])
     drep = metrics_for_distribution(eight, dist)
     assert drep.min_value == pytest.approx(float(dist.expected.min()))

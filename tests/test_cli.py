@@ -402,10 +402,13 @@ FOUR_CSV = "id,group,score\na,M,0.9\nb,F,0.8\nc,M,0.7\nd,F,0.6\n"
     {"rule": "ceil-alpha", "alpha": [1], "protected": "F"},
     {"rule": "floor-balanced", "start_k": "3"},
     {"upper": {"M": [1.5, 2, 2, 2]}},
+    [{"rule": "floor-balanced"}],
+    {"rule": "no-such-rule"},
 ])
 def test_mistyped_constraint_json_exits_2(spec, tmp_path, capsys):
-    """A constraint file with a field of the wrong JSON type is malformed
-    input: exit 2 with the error JSON, not a traceback or a silent cut."""
+    """A constraint file with a field of the wrong JSON type, a top level
+    that is not an object, or an unknown rule is malformed input: exit 2
+    with the error JSON, not a traceback or a silent cut."""
     roster = tmp_path / "four.csv"
     roster.write_text(FOUR_CSV)
     path = tmp_path / "constraints.json"
@@ -594,6 +597,47 @@ def test_constraint_flags_that_would_be_ignored_exit_2(
     code, payload = run_json(capsys, [command, "--input", eight_csv, *flags, *extra])
     assert code == 2
     assert payload["error"]["message"] == message
+
+
+@pytest.mark.parametrize("command", ["solve", "baseline", "metrics", "decompose", "experiment"])
+def test_k_without_top_k_exits_2(eight_csv, tmp_path, command, capsys):
+    """``--k`` is read only by the top-k value function, which needs it;
+    with any other it is refused, not dropped."""
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps({
+        "support": [{"probability": 1.0, "ranking": [u for u, _, _ in EIGHT_ROWS]}]
+    }))
+    extra = ["--distribution", str(dist)] if command == "metrics" else []
+    for value_fn in ([], ["--value-fn", "log-ratio"]):
+        code, payload = run_json(capsys, [
+            command, "--input", eight_csv, "--k", "2", *value_fn, *extra,
+        ])
+        assert code == 2, (command, value_fn)
+        assert payload["error"]["message"] == "--k needs --value-fn top-k"
+    code, payload = run_json(capsys, [
+        command, "--input", eight_csv, "--value-fn", "top-k", *extra,
+    ])
+    assert code == 2
+    assert payload["error"]["message"] == "--value-fn top-k needs --k"
+
+
+def test_ceil_alpha_without_protected_protects_the_first_group(eight_csv, capsys):
+    """The first group of the roster, M, is the default protected group."""
+    outputs = []
+    for protected in ([], ["--protected", "M"]):
+        code, payload = run_json(capsys, [
+            "solve", "--input", eight_csv, "--rule", "ceil-alpha", "--alpha", "0.5",
+            *protected,
+        ])
+        assert code == 0
+        outputs.append(payload)
+    assert outputs[0] == outputs[1]
+    code, other = run_json(capsys, [
+        "solve", "--input", eight_csv, "--rule", "ceil-alpha", "--alpha", "0.5",
+        "--protected", "F",
+    ])
+    assert code == 0
+    assert other["support"] != outputs[0]["support"]
 
 
 def test_output_flag_writes_file(eight_csv, tmp_path, capsys):

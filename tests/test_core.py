@@ -8,6 +8,7 @@ rankings must not change.
 from fractions import Fraction
 from itertools import permutations
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,33 @@ def test_value_model_refuses_non_finite_scores():
     assert ValueModel.custom([], []).n == 0
 
 
+@pytest.mark.parametrize("position_scores, merit_scores", [
+    ([1e308, -1e308], [-1e308, 1e308]),
+    ([1e308, -1e308], [0.0, 0.0]),
+    ([0.0, 0.0], [-1e308, 1e308]),
+])
+def test_value_model_refuses_a_range_of_infinite_width(position_scores, merit_scores):
+    """Finite scores whose values, or the gaps between them, overflow are
+    refused at construction, without a numpy overflow warning, instead of
+    reaching the metrics as inf and nan or the solve as bad weights."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite width"):
+            ValueModel.custom(position_scores, merit_scores)
+    edge = ValueModel.custom([1e308, 0.0], [0.0, 0.0])
+    assert edge.values(Ranking([1, 0])).tolist() == [0.0, 1e308]
+
+
+@pytest.mark.parametrize("build", [
+    lambda inst: ValueModel.custom([2.0, 1.0, 0.0], [0.0, 0.0]),
+    lambda inst: ValueModel.top_k_selection(inst, 0),
+    lambda inst: ValueModel.top_k_selection(inst, 9),
+])
+def test_value_model_refuses_scores_that_do_not_fit(eight, build):
+    with pytest.raises(ValueError, match="equal length n|between 1 and n"):
+        build(eight)
+
+
 def test_values_matches_value_pointwise(eight):
     model = ValueModel.log_ratio(eight)
     r = Ranking.from_ids(eight, ["u3", "u1", "u2", "u6", "u4", "u7", "u5", "u8"])
@@ -262,6 +290,20 @@ def test_build_rule_constraints_dispatch(eight):
         build_rule_constraints(eight, "no-such-rule")
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"protected_group": "F"}, "the ceil-alpha rule needs alpha"),
+    ({"alpha": 0.3}, "the ceil-alpha rule needs a protected group"),
+    ({"alpha": -0.1, "protected_group": "F"}, r"alpha must lie in \[0, 1\]"),
+    ({"alpha": 1.5, "protected_group": "F"}, r"alpha must lie in \[0, 1\]"),
+    ({"alpha": 0.3, "protected_group": "X"}, "unknown group label 'X'"),
+    ({"alpha": 0.3, "protected_group": 2}, "group index 2 out of range"),
+    ({"alpha": 0.3, "protected_group": -1}, "group index -1 out of range"),
+])
+def test_ceil_alpha_rule_refuses_bad_fields(eight, kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_rule_constraints(eight, "ceil-alpha", **kwargs)
+
+
 def _assert_same_set(built, want):
     assert (built.upper, built.lower, built.release, built.upper_only) == (
         want.upper, want.lower, want.release, want.upper_only,
@@ -323,6 +365,16 @@ def test_bounds_past_int64_raise_value_error():
     for upper, lower, name in tables:
         with pytest.raises(ValueError, match=f"^{name} bounds must fit in 64-bit integers$"):
             ConstraintSet(upper, lower)
+
+
+@pytest.mark.parametrize("upper, lower, message", [
+    ([1, 2, 3], None, "upper bounds must be a groups x positions table"),
+    ([[1, 2, 3]], [[0, 1]], "lower bounds must match the upper-bound shape"),
+    ([[1, 2, 3]], [[0, 1, 1], [0, 0, 1]], "lower bounds must match the upper-bound shape"),
+])
+def test_bound_tables_of_the_wrong_shape_are_refused(upper, lower, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ConstraintSet(upper, lower)
 
 
 def test_infeasible_lower_exceeds_upper():

@@ -118,6 +118,12 @@ def test_oracle_rejects_negative_weights(eight, eight_upper, eight_model):
         best_response(eight, eight_upper, eight_model, [-1.0] + [0.0] * 7)
 
 
+@pytest.mark.parametrize("count", [7, 9])
+def test_oracle_needs_one_weight_per_individual(eight, eight_upper, eight_model, count):
+    with pytest.raises(ValueError, match="need one weight per individual"):
+        best_response(eight, eight_upper, eight_model, [1.0] * count)
+
+
 @pytest.mark.parametrize("bad", [-1.0, -np.inf, np.inf, np.nan])
 @pytest.mark.parametrize("at", [0, 3, 7])
 def test_order_key_rejects_a_bad_weight_anywhere(eight, bad, at):
@@ -142,16 +148,23 @@ def test_oracle_accepts_lower_bounds_as_given(
 
 
 def test_fill_refuses_constraints_of_another_shape(eight, eight_model):
-    """The oracle, the baseline and the exact tools built on the oracle
-    check the constraint set against the instance before filling."""
-    seven = Instance.from_rows([(f"u{i}", "MF"[i % 2], 1.0 - i / 10) for i in range(7)])
-    for cons in (ConstraintSet.vacuous(seven), ConstraintSet([[1] * 8])):
+    """The oracle, the baseline and the exact tools check the constraint
+    set against the instance before filling or enumerating."""
+    shorter, longer = (
+        ConstraintSet.vacuous(Instance.from_rows(
+            (f"u{i}", "MF"[i % 2], 1.0 - i / 10) for i in range(n)
+        ))
+        for n in (7, 9)
+    )
+    for cons in (shorter, longer, ConstraintSet([[1] * 8])):
         with pytest.raises(ValueError, match="shape"):
             best_response(eight, cons, eight_model, np.ones(8))
         with pytest.raises(ValueError, match="shape"):
             deterministic_baseline(eight, cons)
         with pytest.raises(ValueError, match="shape"):
             max_total_value(eight, cons, eight_model, [0])
+        with pytest.raises(ValueError, match="shape"):
+            enumerate_valid_rankings(eight, cons)
 
 
 def test_oracle_raises_when_caps_block_every_fill(eight, eight_model):
