@@ -17,18 +17,20 @@ Subcommands::
 Instances are CSV files with header ``id,group,score``; groups are indexed
 by first appearance.  Constraints come either from a JSON file (explicit
 bound tables or a named rule) or inline via ``--rule``/``--alpha``, not
-both; a constraint flag or JSON key the chosen source does not read is
-refused, and so is ``--k`` without ``--value-fn top-k``.  All results are
-emitted as JSON, to stdout or ``--output``; a failure prints
-``{"error": ...}`` as JSON to stderr instead.  Exit codes: 0 success,
-2 malformed input, 3 infeasible constraints, 4 size or iteration guard
-exceeded.
+both; the flags spell the rule object a file would hold, and
+:func:`load_constraints` reads either.  A constraint flag or JSON key the
+chosen source does not read is refused, and so is ``--k`` without
+``--value-fn top-k``.  All results are emitted as JSON, to stdout or
+``--output``; a failure prints ``{"error": ...}`` as JSON to stderr
+instead.  Exit codes: 0 success, 2 malformed input, 3 infeasible
+constraints, 4 size or iteration guard exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -43,7 +45,8 @@ from .core import (
     Ranking,
     ValueModel,
     _vacuous_upper,
-    build_rule_constraints,
+    ceil_alpha_constraints,
+    floor_balanced_constraints,
     is_valid,
 )
 from .errors import (
@@ -78,12 +81,20 @@ _RULE_FIELDS = {
 def parse_instance(text: str) -> Instance:
     """Parse ``id,group,score`` CSV text into an instance.
 
-    Raises :class:`ParseError` (with the offending 1-based row number) on a
-    bad header, a malformed row, an empty id or group, or a score that is
+    Records end where CSV ends them: at a line break outside quotes, so a
+    quoted field may hold a line break, and other characters that
+    ``str.splitlines`` breaks at (U+2028, a form feed) are field text.
+    Raises :class:`ParseError` (with the offending 1-based row number) on
+    text the ``csv`` module refuses, such as a field over its size limit, on
+    a bad header, a malformed row, an empty id or group, or a score that is
     not a finite nonnegative number, and :class:`DuplicateId` on a repeated
     id.
     """
-    rows = list(csv.reader(text.splitlines()))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ParseError(str(exc), row=reader.line_num) from None
     if not rows:
         raise ParseError("empty input")
     header = [c.strip() for c in rows[0]]
@@ -117,7 +128,8 @@ def parse_instance(text: str) -> Instance:
 
 
 def load_constraints(instance: Instance, spec: dict) -> ConstraintSet:
-    """Build constraints from a JSON object.
+    """Build constraints from a JSON object: the one reader of rule objects,
+    whether they come from a file, the rule flags or ``experiment``.
 
     Either ``{"rule": "ceil-alpha", "alpha": .., "protected": ..,
     "start_k": ..}`` / ``{"rule": "floor-balanced", "start_k": ..}`` or
@@ -125,7 +137,9 @@ def load_constraints(instance: Instance, spec: dict) -> ConstraintSet:
     {...}}``; groups missing from a table get vacuous bounds: cap
     ``min(i, |group|)`` on the first ``i`` positions, floor 0.  Either form
     builds one constraint set.  A key the chosen form does not read, an
-    unknown rule and a field of the wrong JSON type raise ``ValueError``.
+    unknown rule, a field of the wrong JSON type and a ceil-alpha rule
+    without ``alpha`` or ``protected`` raise ``ValueError``; an absent or
+    null ``start_k`` leaves the rule's own default.
     """
     if not isinstance(spec, dict):
         raise ValueError("constraint JSON must be an object")
@@ -141,13 +155,13 @@ def load_constraints(instance: Instance, spec: dict) -> ConstraintSet:
         ):
             if spec.get(key) is not None and type(spec[key]) not in kinds:
                 raise ValueError(f"constraint rule field {key!r} must be {what}")
-        return build_rule_constraints(
-            instance,
-            rule,
-            alpha=spec.get("alpha"),
-            protected_group=spec.get("protected"),
-            start_k=spec.get("start_k"),
-        )
+        start = {} if spec.get("start_k") is None else {"start_k": spec["start_k"]}
+        if rule == "floor-balanced":
+            return floor_balanced_constraints(instance, **start)
+        for key, what in (("alpha", "alpha"), ("protected", "a protected group")):
+            if spec.get(key) is None:
+                raise ValueError(f"the ceil-alpha rule needs {what}")
+        return ceil_alpha_constraints(instance, spec["alpha"], spec["protected"], **start)
     _refuse_unread(spec, ("upper", "lower"))
     if not spec:
         raise ValueError("constraint JSON needs a rule or bound tables")
@@ -278,6 +292,15 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _read_json(path: str):
+    """A JSON input file; nesting too deep for the parser is a
+    ``ValueError``, like any other malformed JSON."""
+    try:
+        return json.loads(_read(path))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def _finite(x) -> bool:
     """Whether ``x`` is a JSON number within float range: an integer of 400
     digits would overflow where the reader sums or stores it."""
@@ -332,6 +355,17 @@ def _emit(payload: dict, output: str | None) -> None:
         print(text)
 
 
+def _rule_object(args, instance: Instance, alpha) -> dict:
+    """The rule object that ``args.rule``, ``alpha``, ``--protected`` and
+    ``--start-k`` spell, unset flags dropped; ceil-alpha protects the first
+    group unless ``--protected`` names one."""
+    protected = args.protected
+    if args.rule == "ceil-alpha" and protected is None:
+        protected = instance.group_labels[0]
+    spec = {"rule": args.rule, "alpha": alpha, "protected": protected, "start_k": args.start_k}
+    return {key: value for key, value in spec.items() if value is not None}
+
+
 def _constraints_from_args(args, instance: Instance) -> ConstraintSet:
     """The constraint set the flags name; ``ValueError`` for a flag that
     would otherwise be ignored."""
@@ -343,15 +377,10 @@ def _constraints_from_args(args, instance: Instance) -> ConstraintSet:
     if args.start_k is not None and not args.rule:
         raise ValueError("--start-k needs --rule")
     if args.constraints:
-        return load_constraints(instance, json.loads(_read(args.constraints)))
+        return load_constraints(instance, _read_json(args.constraints))
     if not args.rule:
         return ConstraintSet.vacuous(instance)
-    protected = args.protected
-    if args.rule == "ceil-alpha" and protected is None:
-        protected = instance.group_labels[0]
-    return build_rule_constraints(
-        instance, args.rule, alpha=args.alpha, protected_group=protected, start_k=args.start_k
-    )
+    return load_constraints(instance, _rule_object(args, instance, args.alpha))
 
 
 def _cmd_solve(args) -> dict:
@@ -380,7 +409,7 @@ def _cmd_baseline(args) -> dict:
 
 
 def _cmd_sample(args) -> dict:
-    data = json.loads(_read(args.distribution))
+    data = _read_json(args.distribution)
     if args.input:
         instance = parse_instance(_read(args.input))
         constraints = _constraints_from_args(args, instance)
@@ -401,7 +430,7 @@ def _cmd_sample(args) -> dict:
 def _cmd_metrics(args) -> dict:
     instance = parse_instance(_read(args.input))
     value_model = _value_model(args, instance)
-    data = json.loads(_read(args.distribution))
+    data = _read_json(args.distribution)
     constraints = _constraints_from_args(args, instance)
     distribution = distribution_from_dict(instance, value_model, data, constraints)
     payload = analysis.metrics_for_distribution(instance, distribution).to_dict()
@@ -434,14 +463,11 @@ def _cmd_experiment(args) -> dict:
         if args.alpha is not None
         else [0.1, 0.2, 0.3]
     )
-    protected = args.protected if args.protected is not None else instance.group_labels[0]
+    rules = [_rule_object(args, instance, alpha) for alpha in alphas]
     rows = []
     config = SolverConfig(args.epsilon)
-    for alpha in alphas:
-        constraints = build_rule_constraints(
-            instance, "ceil-alpha", alpha=alpha,
-            protected_group=protected, start_k=args.start_k,
-        )
+    for rule in rules:
+        constraints = load_constraints(instance, rule)
         distribution = solve_maxmin(instance, constraints, value_model, config)
         det = baseline_mod.deterministic_baseline(instance, constraints)
         fair_metrics = analysis.metrics_for_distribution(instance, distribution).to_dict()
@@ -449,7 +475,7 @@ def _cmd_experiment(args) -> dict:
         fair_metrics["oracle_calls"] = distribution.oracle_calls
         rows.append(
             {
-                "alpha": alpha,
+                "alpha": rule["alpha"],
                 "maxmin": fair_metrics,
                 "deterministic": analysis.metrics_for_ranking(
                     instance, value_model, det
@@ -459,7 +485,7 @@ def _cmd_experiment(args) -> dict:
     return {
         "value_fn": args.value_fn,
         "epsilon": args.epsilon,
-        "protected": protected,
+        "protected": rules[0]["protected"],
         "alphas": alphas,
         "rows": rows,
     }
@@ -485,19 +511,22 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--start-k", type=int, default=None, dest="start_k",
                        help="first prefix length the rule applies to")
 
-    def add_common(p, solver=False):
-        add_instance(p)
+    def add_value_model(p, epsilon=None):
         p.add_argument("--value-fn", default="position-diff", dest="value_fn",
                        choices=list(_VALUE_FNS))
         p.add_argument("--k", type=int, default=None,
                        help="cutoff for the top-k value function")
-        if solver:
-            p.add_argument("--epsilon", type=float, default=0.01,
+        if epsilon is not None:
+            p.add_argument("--epsilon", type=float, default=epsilon,
                            help="additive accuracy in value units")
         p.add_argument("--output", default=None, help="write JSON here instead of stdout")
 
+    def add_common(p, epsilon=None):
+        add_instance(p)
+        add_value_model(p, epsilon)
+
     p = sub.add_parser("solve", help="maxmin-fair distribution")
-    add_common(p, solver=True)
+    add_common(p, epsilon=0.01)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("baseline", help="deterministic merit-greedy ranking")
@@ -526,12 +555,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated alpha grid (default 0.1,0.2,0.3)")
     p.add_argument("--protected", default=None)
     p.add_argument("--start-k", type=int, default=None, dest="start_k")
-    p.add_argument("--value-fn", default="position-diff", dest="value_fn",
-                   choices=list(_VALUE_FNS))
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_experiment)
+    add_value_model(p, epsilon=1.0)
+    p.set_defaults(func=_cmd_experiment, rule="ceil-alpha")
 
     return parser
 

@@ -31,7 +31,6 @@ __all__ = [
     "is_valid",
     "ceil_alpha_constraints",
     "floor_balanced_constraints",
-    "build_rule_constraints",
     "to_upper_only",
     "is_feasible",
 ]
@@ -184,7 +183,9 @@ class ValueModel:
     problem greedy-solvable.  Every value lies in ``[f_n - max g, f_1 -
     min g]`` (position scores ``f``, merit scores ``g``), and that range's
     width must be finite too, so no value and no gap between two values
-    overflows.  ``merit_scores`` is an individual-specific
+    overflows.  The solver further needs ``2 n m^2`` finite, where ``m =
+    max(|f_1 - min g|, |f_n - max g|)`` bounds every value's magnitude; a
+    model without it still builds.  ``merit_scores`` is an individual-specific
     offset, normally the position score the individual would earn in the
     pure merit ranking, so the value measures gain or loss relative to merit.
 
@@ -199,7 +200,7 @@ class ValueModel:
       value is -1, 0 or +1 depending on crossing the top-``k`` boundary.
     """
 
-    __slots__ = ("position_scores", "merit_scores", "_g", "_scores")
+    __slots__ = ("position_scores", "merit_scores", "_g", "_scores", "_squares_finite")
 
     def __init__(self, position_scores: Sequence[float], merit_scores: Sequence[float]):
         position_scores = [float(x) for x in position_scores]
@@ -214,11 +215,16 @@ class ValueModel:
         if (scores[2:] > scores[1:-1]).any():
             raise ValueError("position scores must be nonincreasing")
         # Python floats: an overflow gives inf or nan without a numpy warning.
-        if position_scores and not math.isfinite(
-            (position_scores[0] - min(merit_scores))
-            - (position_scores[-1] - max(merit_scores))
-        ):
-            raise ValueError("the range of values must have a finite width")
+        self._squares_finite = True
+        if position_scores:
+            top = position_scores[0] - min(merit_scores)
+            bottom = position_scores[-1] - max(merit_scores)
+            if not math.isfinite(top - bottom):
+                raise ValueError("the range of values must have a finite width")
+            # No |value| exceeds m, so no sum of n products of a value and a
+            # difference of two values exceeds 2 n m^2.
+            m = max(abs(top), abs(bottom))
+            self._squares_finite = math.isfinite(2 * len(position_scores) * m * m)
         self.position_scores = tuple(position_scores)
         self.merit_scores = tuple(merit_scores)
         g.setflags(write=False)
@@ -310,12 +316,13 @@ def _normalize_upper(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def _normalize_lower(rows: np.ndarray, n: int) -> np.ndarray:
-    """Tighten raw lower bounds to their monotone closure (mirror image of
-    the upper-bound repair, with running maxima)."""
-    rows = _clamped(rows, n)
-    rows = np.maximum.accumulate(rows, axis=1)
-    index = np.arange(n)
-    return np.maximum.accumulate((rows - index)[:, ::-1], axis=1)[:, ::-1] + index
+    """Tighten raw lower bounds to their monotone closure: the complement of
+    the caps' closure.  A group meets floor ``l`` in a prefix of length
+    ``i`` exactly when the rest of the prefix meets cap ``i - l``, and
+    clamping to ``[0, i]`` commutes with ``x -> i - x``; clamping first
+    keeps ``i - x`` within int64."""
+    prefix = np.arange(1, n + 1)
+    return prefix - _normalize_upper(prefix - _clamped(rows, n), n)
 
 
 class ConstraintSet:
@@ -466,27 +473,6 @@ def floor_balanced_constraints(instance: Instance, start_k: int = 3) -> Constrai
         raise ValueError("the balanced rule needs exactly two groups")
     row = [i // 2 if i >= start_k else 0 for i in range(1, instance.n + 1)]
     return ConstraintSet(_vacuous_upper(instance), [row, row])
-
-
-def build_rule_constraints(
-    instance: Instance,
-    rule: str,
-    alpha: float | None = None,
-    protected_group: str | int | None = None,
-    start_k: int | None = None,
-) -> ConstraintSet:
-    """Dispatch on the named constraint rule used by config files; a
-    ``start_k`` of ``None`` leaves the rule's own default."""
-    start = {} if start_k is None else {"start_k": start_k}
-    if rule == "ceil-alpha":
-        if alpha is None:
-            raise ValueError("the ceil-alpha rule needs alpha")
-        if protected_group is None:
-            raise ValueError("the ceil-alpha rule needs a protected group")
-        return ceil_alpha_constraints(instance, alpha, protected_group, **start)
-    if rule == "floor-balanced":
-        return floor_balanced_constraints(instance, **start)
-    raise ValueError(f"unknown constraint rule {rule!r}")
 
 
 def _equivalent_caps(constraints: ConstraintSet, instance: Instance) -> np.ndarray:

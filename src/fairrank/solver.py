@@ -300,7 +300,10 @@ def solve_maxmin(
     """Compute an epsilon-accurate maxmin-fair distribution over valid
     rankings.
 
-    Infeasible constraints raise the first oracle fill's
+    A value model whose values are too large for their sums of squares,
+    with ``2 n m^2`` not finite for the largest value magnitude ``m``,
+    raises ``ValueError`` before the first oracle call.  Infeasible
+    constraints raise the first oracle fill's
     :class:`InfeasibleConstraints`, which names the first position no group
     may take; lower bounds over one or two groups are accepted as given,
     and over three or more groups raise ``ValueError``.  The
@@ -328,6 +331,8 @@ def solve_maxmin(
     config = config or SolverConfig()
     if value_model.n != instance.n:
         raise ValueError("value model does not match the instance size")
+    if not value_model._squares_finite:
+        raise ValueError("values this large overflow the solver's sums of squares")
     eps = config.epsilon
     n = instance.n
     merit = instance.merit_position

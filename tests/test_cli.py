@@ -80,6 +80,60 @@ def test_parse_instance_errors():
         assert err.value.row == row
 
 
+@pytest.mark.parametrize("text, ids, labels", [
+    # str.splitlines breaks at U+2028 and at a form feed; CSV does not.
+    ("id,group,score\nx\u2028y,M,0.9\nb,F,0.8\n", ("x\u2028y", "b"), ("M", "F")),
+    ("id,group,score\na,M\f,0.9\nb,F,0.8\n", ("a", "b"), ("M", "F")),
+    # A quoted field keeps its line break.
+    ('id,group,score\n"a\n1",M,0.9\nb,F,0.8\n', ("a\n1", "b"), ("M", "F")),
+    ("id,group,score\r\na,M,0.9\r\nb,F,0.8\r\n", ("a", "b"), ("M", "F")),
+])
+def test_parse_instance_reads_records_as_csv(text, ids, labels, tmp_path, capsys):
+    inst = parse_instance(text)
+    assert (inst.ids, inst.group_labels) == (ids, labels)
+    path = tmp_path / "roster.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    code, payload = run_json(capsys, ["baseline", "--input", str(path)])
+    assert code == 0 and payload["ranking"] == list(ids)
+
+
+def test_field_over_the_csv_limit_exits_2(tmp_path, capsys):
+    text = "id,group,score\na,M,0.9\n" + "b" * 131_073 + ",F,0.8\n"
+    with pytest.raises(ParseError, match="field larger than field limit") as err:
+        parse_instance(text)
+    assert err.value.row == 3
+    path = tmp_path / "roster.csv"
+    path.write_text(text)
+    code, payload = run_json(capsys, ["baseline", "--input", str(path)])
+    assert code == 2
+    assert payload["error"]["type"] == "ParseError" and payload["error"]["row"] == 3
+
+
+def test_nul_byte_is_field_text_or_a_parse_error():
+    """The csv module reads a NUL as field text from Python 3.11 on and
+    refuses it before; either way the refusal is a ParseError."""
+    try:
+        assert parse_instance("id,group,score\na\0,M,0.9\nb,F,0.8\n").ids == ("a\0", "b")
+    except ParseError as exc:
+        assert sys.version_info < (3, 11) and exc.row == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--constraints", "{deep}"],
+    ["metrics", "--distribution", "{deep}"],
+    ["sample", "--distribution", "{deep}"],
+])
+def test_json_nested_too_deeply_exits_2(argv, eight_csv, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    argv = [a.format(deep=deep) for a in argv] + ["--input", eight_csv]
+    code, payload = run_json(capsys, argv)
+    assert code == 2
+    assert payload["error"] == {
+        "type": "ValueError", "message": f"{deep}: JSON nested too deeply",
+    }
+
+
 @pytest.mark.parametrize("group", ["", "  "])
 def test_empty_group_exits_2(tmp_path, capsys, group):
     text = f"id,group,score\na,A,0.9\nb,{group},0.8\n"
@@ -551,6 +605,28 @@ def test_experiment_command(eight_csv, capsys):
     assert payload["alphas"] == [0.25]
     row = payload["rows"][0]
     assert row["maxmin"]["min_value"] >= row["deterministic"]["min_value"] - 1.0
+
+
+@pytest.mark.parametrize("protected", [[], ["--protected", "F"]])
+def test_experiment_rows_match_solve_and_baseline(eight_csv, protected, capsys):
+    """With the same rule flags, each experiment row's maxmin metrics are
+    the metrics of ``solve --rule ceil-alpha`` and its deterministic ones
+    those of ``baseline``."""
+    flags = [*protected, "--start-k", "2"]
+    code, payload = run_json(capsys, [
+        "experiment", "--input", eight_csv, "--alpha", "0.25,0.5",
+        "--epsilon", "0.05", *flags,
+    ])
+    assert code == 0
+    assert payload["protected"] == (protected[1] if protected else "M")
+    for row in payload["rows"]:
+        rule = ["--input", eight_csv, "--rule", "ceil-alpha", "--alpha", str(row["alpha"]), *flags]
+        code, solved = run_json(capsys, ["solve", *rule, "--epsilon", "0.05"])
+        assert code == 0
+        assert {key: row["maxmin"][key] for key in solved["metrics"]} == solved["metrics"]
+        code, base = run_json(capsys, ["baseline", *rule])
+        assert code == 0
+        assert row["deterministic"] == base["metrics"]
 
 
 @pytest.mark.parametrize("command", ["solve", "experiment"])

@@ -22,7 +22,6 @@ from fairrank import (
     Ranking,
     ValueModel,
     best_response,
-    build_rule_constraints,
     ceil_alpha_constraints,
     deterministic_baseline,
     enumerate_valid_rankings,
@@ -280,28 +279,28 @@ def test_ceil_alpha_exact_at_rational_boundaries():
     assert list(np.array(cons.lower)[g]) == [0, 0, 0, 1, 1, 1, 2, 2, 2, 2]
 
 
-def test_build_rule_constraints_dispatch(eight):
-    by_rule = build_rule_constraints(eight, "ceil-alpha", alpha=0.3, protected_group="F")
+def test_rule_objects_build_like_the_rule_functions(eight):
+    by_rule = load_constraints(eight, {"rule": "ceil-alpha", "alpha": 0.3, "protected": "F"})
     direct = ceil_alpha_constraints(eight, 0.3, "F")
     assert by_rule == direct
-    balanced = build_rule_constraints(eight, "floor-balanced")
+    balanced = load_constraints(eight, {"rule": "floor-balanced"})
     assert balanced == floor_balanced_constraints(eight)
     with pytest.raises(ValueError):
-        build_rule_constraints(eight, "no-such-rule")
+        load_constraints(eight, {"rule": "no-such-rule"})
 
 
-@pytest.mark.parametrize("kwargs, message", [
-    ({"protected_group": "F"}, "the ceil-alpha rule needs alpha"),
+@pytest.mark.parametrize("fields, message", [
+    ({"protected": "F"}, "the ceil-alpha rule needs alpha"),
     ({"alpha": 0.3}, "the ceil-alpha rule needs a protected group"),
-    ({"alpha": -0.1, "protected_group": "F"}, r"alpha must lie in \[0, 1\]"),
-    ({"alpha": 1.5, "protected_group": "F"}, r"alpha must lie in \[0, 1\]"),
-    ({"alpha": 0.3, "protected_group": "X"}, "unknown group label 'X'"),
-    ({"alpha": 0.3, "protected_group": 2}, "group index 2 out of range"),
-    ({"alpha": 0.3, "protected_group": -1}, "group index -1 out of range"),
+    ({"alpha": -0.1, "protected": "F"}, r"alpha must lie in \[0, 1\]"),
+    ({"alpha": 1.5, "protected": "F"}, r"alpha must lie in \[0, 1\]"),
+    ({"alpha": 0.3, "protected": "X"}, "unknown group label 'X'"),
+    ({"alpha": 0.3, "protected": 2}, "group index 2 out of range"),
+    ({"alpha": 0.3, "protected": -1}, "group index -1 out of range"),
 ])
-def test_ceil_alpha_rule_refuses_bad_fields(eight, kwargs, message):
+def test_ceil_alpha_rule_refuses_bad_fields(eight, fields, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        build_rule_constraints(eight, "ceil-alpha", **kwargs)
+        load_constraints(eight, {"rule": "ceil-alpha", **fields})
 
 
 def _assert_same_set(built, want):
@@ -478,6 +477,16 @@ def test_vectorized_repair_matches_the_loops():
         rows = rng.integers(-3, n + 4, size=(t, n))
         assert np.array_equal(_normalize_upper(rows, n), normalize_upper_loops(rows, n))
         assert np.array_equal(_normalize_lower(rows, n), normalize_lower_loops(rows, n))
+
+
+def test_floor_repair_takes_int64_extremes():
+    """A floor near the int64 minimum clamps to zero; taken from the prefix
+    length before the clamp, it would wrap to a floor of the whole prefix."""
+    low, high = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    rows = [[1, low, high, 0], [0, 0, 0, low + 2]]
+    cons = ConstraintSet([[4] * 4] * 2, rows)
+    assert cons.lower == ((1, 2, 3, 3), (0, 0, 0, 0))
+    assert np.array_equal(np.array(cons.lower), normalize_lower_loops(np.array(rows), 4))
 
 
 @st.composite

@@ -510,6 +510,31 @@ def test_large_offset_on_the_last_individual_solves(eight, eight_upper):
         assert np.abs(np.sort(dist.expected) - np.sort(targets)).max() <= eps
 
 
+@pytest.mark.parametrize("top, refused", [(1e200, True), (1e154, True), (1e150, False)])
+def test_values_whose_squares_overflow_are_refused_before_the_first_call(
+    top, refused, monkeypatch
+):
+    """Position scores ``[top, 0, 0, 0]`` with merit offsets taken from them,
+    and a cap that keeps the merit leader off position 1, give values of
+    magnitude ``top``.  Where ``2 n top^2`` overflows, the solve refuses the
+    model before its first oracle call instead of meeting inf in ``x . x``
+    (a RuntimeWarning, an error under the test suite's filter).  At 1e150
+    the check passes: an epsilon of the range width ends that solve at its
+    first vertex."""
+    inst = Instance.from_rows([("a", "M", 0.9), ("b", "F", 0.8), ("c", "M", 0.7), ("d", "F", 0.6)])
+    cons = ConstraintSet([[0, 1, 2, 2], [1, 2, 2, 2]])
+    f = [top, 0.0, 0.0, 0.0]
+    model = ValueModel.custom(f, [f[p - 1] for p in inst.merit_position])
+    calls = _count_calls(monkeypatch, fairrank.solver, "_vertex")
+    if refused:
+        with pytest.raises(ValueError, match="overflow the solver's sums of squares"):
+            solve_maxmin(inst, cons, model)
+        assert calls == []
+    else:
+        solve_maxmin(inst, cons, model, SolverConfig(epsilon=top))
+        assert len(calls) == 1
+
+
 def test_solve_logs_one_info_line(eight, eight_upper, eight_model, caplog):
     with caplog.at_level(logging.INFO, logger="fairrank.solver"):
         dist = solve_maxmin(eight, eight_upper, eight_model)
