@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import ConstraintSet, Instance, Ranking, ValueModel, is_valid
 from .errors import InstanceTooLarge
-from .oracle import _fill, _greedy_fill, best_response
+from .oracle import _fill, _greedy_fill, _vertex
 from .solver import FairDistribution
 
 __all__ = [
@@ -72,18 +72,20 @@ def max_total_value(
     members: Iterable[int],
 ) -> float:
     """Largest total value the given individuals can attain simultaneously
-    in any valid ranking: their total in the greedy oracle's ranking under
-    0/1 weights, exact in floats for integer value models."""
+    in any valid ranking: their total in the greedy fill of the members in
+    merit order, then everyone else in merit order (the order 0/1 weights
+    sort to), exact in floats for integer value models."""
     if value_model.n != instance.n:
         raise ValueError("value model does not match the instance size")
-    weights = np.zeros(instance.n)
+    chosen = np.zeros(instance.n, dtype=bool)
     for i in members:
         i = int(i)
         if not 0 <= i < instance.n:
             raise ValueError(f"individual index {i} out of range")
-        weights[i] = 1.0
-    res = best_response(instance, constraints, value_model, weights)
-    return float(res.values[weights > 0].sum())
+        chosen[i] = True
+    order = sorted(instance.merit_order, key=lambda u: not chosen[u])
+    _, values = _vertex(instance, constraints, value_model, order)
+    return float(values[chosen].sum())
 
 
 def min_satisfaction_bound(

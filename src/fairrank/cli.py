@@ -84,25 +84,25 @@ def parse_instance(text: str) -> Instance:
     Records end where CSV ends them: at a line break outside quotes, so a
     quoted field may hold a line break, and other characters that
     ``str.splitlines`` breaks at (U+2028, a form feed) are field text.
-    Raises :class:`ParseError` (with the offending 1-based row number) on
-    text the ``csv`` module refuses, such as a field over its size limit, on
-    a bad header, a malformed row, an empty id or group, or a score that is
-    not a finite nonnegative number, and :class:`DuplicateId` on a repeated
-    id.
+    Raises :class:`ParseError` (with the 1-based line on which the offending
+    record ends) on text the ``csv`` module refuses, such as a field over
+    its size limit, on a bad header, a malformed row, an empty id or group,
+    or a score that is not a finite nonnegative number, and
+    :class:`DuplicateId` on a repeated id.
     """
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        rows = list(reader)
+        rows = [(reader.line_num, row) for row in reader]
     except csv.Error as exc:
         raise ParseError(str(exc), row=reader.line_num) from None
     if not rows:
         raise ParseError("empty input")
-    header = [c.strip() for c in rows[0]]
+    header = [c.strip() for c in rows[0][1]]
     if header != _HEADER:
         raise ParseError(f"expected header {','.join(_HEADER)!r}", row=1)
     seen: set[str] = set()
     triples: list[tuple[str, str, float]] = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if not "".join(row).strip():
             continue
         if len(row) != 3:

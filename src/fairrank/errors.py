@@ -32,8 +32,9 @@ class IterationCapExceeded(FairRankingError):
 class ParseError(FairRankingError):
     """Malformed input data.
 
-    ``row`` is the 1-based row number of the offending record when known
-    (the header counts as row 1).
+    ``row`` is the 1-based physical line on which the offending record ends,
+    when known (the header is line 1; a quoted line break inside a record
+    counts as a line).
     """
 
     def __init__(self, message: str, row: int | None = None):

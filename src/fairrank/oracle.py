@@ -1,12 +1,15 @@
-"""Greedy best-response oracle for weighted ranking under prefix caps.
+"""Greedy fill of a weight order: the best-response oracle under prefix caps.
 
-Given nonnegative per-individual weights ``w``, the oracle returns a valid
-ranking maximizing ``sum_u w[u] * value(r, u)``.  Because position scores
-are nonincreasing, the weighted score matrix ``w[u] * f(i)`` has the
-exchange (Monge) property once individuals are sorted by descending weight:
-swapping any inverted pair never helps.  Filling positions top to bottom
-with the heaviest still-placeable individual is therefore optimal, and the
-result depends only on the *order* of the weights.
+Given nonnegative per-individual weights ``w``, a valid ranking maximizing
+``sum_u w[u] * value(r, u)`` comes from the individuals' order alone.
+Because position scores are nonincreasing, the weighted score matrix
+``w[u] * f(i)`` has the exchange (Monge) property once individuals are
+sorted by descending weight: swapping any inverted pair never helps.
+Filling positions top to bottom with the earliest still-placeable
+individual of that order is therefore optimal.  So the fill takes the
+order, not the weights: the solver sorts its weights (ties in merit
+order), and :func:`fairrank.analysis.max_total_value` puts a set's members
+first.  The module exports no name.
 
 The fill reads the constraint set's equivalent caps: its upper bounds with
 any one- or two-group lower bounds rewritten into them (see
@@ -14,14 +17,13 @@ any one- or two-group lower bounds rewritten into them (see
 placement that respects the cap at its own prefix can never violate a later
 prefix.  The constraint set turns those caps into release positions once:
 the first position where each group may take its next member.  The fill
-then walks the weight order once and puts each individual at the first free
+then walks the order once and puts each individual at the first free
 position at or after that release, found by one C-level byte search over
 the free positions instead of a scan over every group at every position.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -29,37 +31,7 @@ import numpy as np
 from .core import ConstraintSet, Instance, Ranking, ValueModel, _equivalent_caps
 from .errors import InfeasibleConstraints
 
-__all__ = ["best_response"]
-
-
-class OracleResult:
-    """A best-response ranking with its per-individual values and objective."""
-
-    __slots__ = ("ranking", "values", "objective")
-
-    def __init__(self, ranking: Ranking, values: np.ndarray, objective: float):
-        self.ranking = ranking
-        self.values = values
-        self.objective = objective
-
-    def __repr__(self) -> str:
-        return f"OracleResult(objective={self.objective:.6g})"
-
-
-def weight_order_key(instance: Instance, weights: Sequence[float]) -> tuple[int, ...]:
-    """Individual indices sorted by descending weight.
-
-    Ties fall back to the instance's merit order (descending relevance, then
-    ascending id), so the key is a deterministic function of the weights.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (instance.n,):
-        raise ValueError("need one weight per individual")
-    order = np.lexsort((instance.merit_position, -w)).tolist()
-    # The sort puts NaN last, so the two ends bound every weight.
-    if not (w[order[-1]] >= 0 and w[order[0]] < math.inf):
-        raise ValueError("weights must be finite and nonnegative")
-    return tuple(order)
+__all__: list[str] = []
 
 
 def _greedy_fill(
@@ -127,27 +99,8 @@ def _vertex(
     value_model: ValueModel,
     order: Sequence[int],
 ) -> tuple[Ranking, np.ndarray]:
-    """The greedy ranking for a weight order and its per-individual values:
-    the oracle without weights, for callers that sort and check their own.
-    Raises as :func:`_greedy_fill` does."""
+    """The greedy ranking for an order of the individuals and its
+    per-individual values: the oracle for callers that build and check
+    their own order.  Raises as :func:`_greedy_fill` does."""
     ranking = _greedy_fill(instance, constraints, order)
     return ranking, value_model.values(ranking)
-
-
-def best_response(
-    instance: Instance,
-    constraints: ConstraintSet,
-    value_model: ValueModel,
-    weights: Sequence[float],
-) -> OracleResult:
-    """Maximize the weighted total value over valid rankings.
-
-    Raises :class:`InfeasibleConstraints` from the fill when no valid
-    ranking exists, for any weights, and ``ValueError`` on negative weights
-    or on lower bounds over three or more groups.
-    """
-    w = np.asarray(weights, dtype=float)
-    ranking, values = _vertex(
-        instance, constraints, value_model, weight_order_key(instance, w)
-    )
-    return OracleResult(ranking, values, float(w @ values))

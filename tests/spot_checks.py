@@ -3,20 +3,75 @@ versions of code the package replaced with faster equivalents.
 
 These check the theory on small instances (the Monge exchange property of
 the weighted score matrix, and diminishing returns of the
-best-achievable-total set function), and keep the plain loops that the
-vectorized bound repair, the release-position greedy fill and the
-count-vector decomposition must reproduce; they are test helpers, not part
-of the package's API.
+best-achievable-total set function), keep the weighted best-response
+oracle (the package's fill takes an order, which the solver sorts from its
+weights itself), and keep the plain loops that the vectorized bound
+repair, the release-position greedy fill and the count-vector
+decomposition must reproduce; they are test helpers, not part of the
+package's API.
 """
 
 from fractions import Fraction
+import math
+from typing import Sequence
 
 import numpy as np
 
-from fairrank import InfeasibleConstraints, Ranking, best_response
-from fairrank.oracle import weight_order_key
+from fairrank import (
+    ConstraintSet, InfeasibleConstraints, Instance, Ranking, ValueModel,
+    max_total_value, to_upper_only,
+)
 from fairrank.analysis import _FLOAT_TIE_TOL
-from fairrank.core import to_upper_only
+from fairrank.oracle import _vertex
+
+
+class OracleResult:
+    """A best-response ranking with its per-individual values and objective."""
+
+    __slots__ = ("ranking", "values", "objective")
+
+    def __init__(self, ranking: Ranking, values: np.ndarray, objective: float):
+        self.ranking = ranking
+        self.values = values
+        self.objective = objective
+
+    def __repr__(self) -> str:
+        return f"OracleResult(objective={self.objective:.6g})"
+
+
+def weight_order_key(instance: Instance, weights: Sequence[float]) -> tuple[int, ...]:
+    """Individual indices sorted by descending weight.
+
+    Ties fall back to the instance's merit order (descending relevance, then
+    ascending id), so the key is a deterministic function of the weights.
+    """
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (instance.n,):
+        raise ValueError("need one weight per individual")
+    order = np.lexsort((instance.merit_position, -w)).tolist()
+    # The sort puts NaN last, so the two ends bound every weight.
+    if not (w[order[-1]] >= 0 and w[order[0]] < math.inf):
+        raise ValueError("weights must be finite and nonnegative")
+    return tuple(order)
+
+
+def best_response(
+    instance: Instance,
+    constraints: ConstraintSet,
+    value_model: ValueModel,
+    weights: Sequence[float],
+) -> OracleResult:
+    """Maximize the weighted total value over valid rankings.
+
+    Raises :class:`InfeasibleConstraints` from the fill when no valid
+    ranking exists, for any weights, and ``ValueError`` on negative weights
+    or on lower bounds over three or more groups.
+    """
+    w = np.asarray(weights, dtype=float)
+    ranking, values = _vertex(
+        instance, constraints, value_model, weight_order_key(instance, w)
+    )
+    return OracleResult(ranking, values, float(w @ values))
 
 
 def has_monge_property(instance, value_model, weights, tolerance=1e-9):
@@ -42,13 +97,11 @@ def has_monge_property(instance, value_model, weights, tolerance=1e-9):
 
 def indicator_best_total(instance, constraints, value_model, mask, cache):
     """Best achievable total value of the individuals in the bitmask
-    ``mask``: the masked total of the greedy oracle's ranking under 0/1
-    weights, memoized in the dict ``cache``."""
+    ``mask``: :func:`fairrank.max_total_value` of its members, memoized in
+    the dict ``cache``."""
     if mask not in cache:
-        n = instance.n
-        weights = np.fromiter(((mask >> i) & 1 for i in range(n)), dtype=float, count=n)
-        res = best_response(instance, constraints, value_model, weights)
-        cache[mask] = float(res.values[weights > 0].sum())
+        members = [i for i in range(instance.n) if (mask >> i) & 1]
+        cache[mask] = max_total_value(instance, constraints, value_model, members)
     return cache[mask]
 
 

@@ -16,7 +16,6 @@ from fairrank import (
     SolverConfig,
     ValueModel,
     baseline_min_value,
-    best_response,
     ceil_alpha_constraints,
     deterministic_baseline,
     enumerate_valid_rankings,
@@ -38,7 +37,7 @@ from conftest import (
     random_upper_constraints,
     random_weights,
 )
-from spot_checks import check_submodularity, has_monge_property
+from spot_checks import best_response, check_submodularity, has_monge_property
 
 EPSILON = 0.01
 BATCH_SIZE = 100

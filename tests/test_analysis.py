@@ -72,6 +72,10 @@ def test_max_total_value_goldens(eight, eight_lower, eight_model):
 
 
 def test_max_total_value_matches_enumeration(eight, eight_lower, eight_model, eight_table):
+    """The best masked total over every valid ranking, on the worked example
+    and on random rosters of up to seven with 1-3 groups, random caps and,
+    for one or two groups, floors, under each of the four value models:
+    exact for integer models, within 1e-9 otherwise."""
     _, matrix = eight_table
     rng = np.random.default_rng(5)
     for _ in range(30):
@@ -81,6 +85,36 @@ def test_max_total_value_matches_enumeration(eight, eight_lower, eight_model, ei
         expected = matrix[:, members].sum(axis=1).max()
         got = max_total_value(eight, eight_lower, eight_model, members)
         assert got == pytest.approx(float(expected), abs=1e-9)
+    for k in range(40):
+        inst = random_instance(rng, groups=int(rng.integers(1, 4)), max_n=7)
+        cons = random_upper_constraints(rng, inst)
+        rankings = enumerate_valid_rankings(inst, cons)
+        if inst.n_groups <= 2:
+            # Floors a random valid ranking meets, less 0-2 per prefix.
+            witness = rankings[int(rng.integers(0, len(rankings)))]
+            picks = np.equal.outer(
+                np.arange(inst.n_groups), inst.group_of[list(witness.order)]
+            )
+            less = rng.integers(0, 3, picks.shape)
+            lower = np.maximum(picks.cumsum(axis=1) - less, 0)
+            cons = ConstraintSet(np.array(cons.upper), lower)
+            rankings = enumerate_valid_rankings(inst, cons)
+        f = sorted(rng.integers(0, 2 * inst.n, inst.n).tolist(), reverse=True)
+        model = [
+            ValueModel.position_diff(inst),
+            ValueModel.log_ratio(inst),
+            ValueModel.top_k_selection(inst, k=int(rng.integers(1, inst.n + 1))),
+            ValueModel.custom(f, [f[p - 1] for p in inst.merit_position]),
+        ][k % 4]
+        matrix = np.stack([model.values(r) for r in rankings])
+        for _ in range(5):
+            members = np.flatnonzero(rng.integers(0, 2, inst.n))
+            expected = float(matrix[:, members].sum(axis=1).max())
+            got = max_total_value(inst, cons, model, members)
+            if model.integer_valued:
+                assert got == expected
+            else:
+                assert got == pytest.approx(expected, abs=1e-9)
 
 
 def test_max_total_value_rejects_bad_index(eight, eight_lower, eight_model):

@@ -97,6 +97,26 @@ def test_parse_instance_reads_records_as_csv(text, ids, labels, tmp_path, capsys
     assert code == 0 and payload["ranking"] == list(ids)
 
 
+@pytest.mark.parametrize("text, error, message, row", [
+    ('id,group,score\n"a\n1",M,0.9\nb,F,high\n', ParseError, "row 4: bad score", 4),
+    ('id,group,score\n"a\n1",M,0.9\nb,F,0.8\n"a\n1",F,0.7\n',
+     DuplicateId, "row 6: duplicate id", 6),
+], ids=["bad-score", "duplicate-id"])
+def test_parse_error_row_is_the_line_the_record_ends_on(
+    text, error, message, row, tmp_path, capsys
+):
+    """A quoted line break counts as a line, as it does in the row of a
+    ``csv`` refusal, so the row names the line where the bad record ends."""
+    with pytest.raises(error, match=message) as err:
+        parse_instance(text)
+    assert err.value.row == row
+    path = tmp_path / "roster.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    code, payload = run_json(capsys, ["baseline", "--input", str(path)])
+    assert code == 2
+    assert payload["error"]["type"] == error.__name__ and payload["error"]["row"] == row
+
+
 def test_field_over_the_csv_limit_exits_2(tmp_path, capsys):
     text = "id,group,score\na,M,0.9\n" + "b" * 131_073 + ",F,0.8\n"
     with pytest.raises(ParseError, match="field larger than field limit") as err:

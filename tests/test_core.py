@@ -21,7 +21,6 @@ from fairrank import (
     Instance,
     Ranking,
     ValueModel,
-    best_response,
     ceil_alpha_constraints,
     deterministic_baseline,
     enumerate_valid_rankings,
@@ -29,6 +28,7 @@ from fairrank import (
     floor_balanced_constraints,
     is_feasible,
     is_valid,
+    max_total_value,
     merit_ranking,
     solve_maxmin,
     to_upper_only,
@@ -252,7 +252,7 @@ def test_conversion_rejects_three_group_lowers():
     entry_points = [
         lambda: to_upper_only(cons, inst),
         lambda: is_feasible(inst, cons),
-        lambda: best_response(inst, cons, model, [1.0, 1.0, 1.0]),
+        lambda: max_total_value(inst, cons, model, [0, 1, 2]),
         lambda: deterministic_baseline(inst, cons),
         lambda: solve_maxmin(inst, cons, model),
         lambda: fair_decomposition(inst, cons, model),

@@ -15,7 +15,6 @@ from fairrank import (
     InfeasibleConstraints,
     Instance,
     ValueModel,
-    best_response,
     deterministic_baseline,
     enumerate_valid_rankings,
     is_feasible,
@@ -23,12 +22,14 @@ from fairrank import (
     merit_ranking,
 )
 
-from fairrank.oracle import _greedy_fill, weight_order_key
+from fairrank.oracle import _greedy_fill
 
 from conftest import (
     random_instance, random_upper_constraints, random_weights, ranking_cases,
 )
-from spot_checks import greedy_fill_scan, has_monge_property
+from spot_checks import (
+    best_response, greedy_fill_scan, has_monge_property, weight_order_key,
+)
 
 RELATIVE_TOL = 1e-9
 

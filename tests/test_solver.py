@@ -18,12 +18,12 @@ from fairrank import (
     IterationCapExceeded,
     SolverConfig,
     ValueModel,
-    best_response,
     ceil_alpha_constraints,
     deterministic_baseline,
     enumerate_valid_rankings,
     fair_decomposition,
     is_valid,
+    max_total_value,
     sample,
     solve_maxmin,
 )
@@ -31,6 +31,7 @@ from fairrank.cli import load_constraints
 from fairrank.solver import _affine_weights, _bordered, _without
 
 from conftest import random_instance, random_upper_constraints, ranking_cases
+from spot_checks import best_response
 
 
 def test_config_validation():
@@ -198,9 +199,9 @@ def test_degenerate_model_solves_at_once():
 
 def test_infeasible_caps_raise_the_solver_message(eight, eight_model):
     """Caps of one M and two F in every prefix pass construction but cover
-    only three positions.  Every library entry point's first fill leaves
-    position 4 empty and reports it in the same words, with no chained
-    cause."""
+    only three positions.  Every library entry point's first fill, and the
+    test helpers' weighted oracle, leaves position 4 empty and reports it
+    in the same words, with no chained cause."""
     message = (
         "no valid ranking satisfies the bounds: "
         "no group may take position 4 without exceeding its cap"
@@ -211,6 +212,7 @@ def test_infeasible_caps_raise_the_solver_message(eight, eight_model):
         lambda: best_response(eight, tight, eight_model, np.arange(8.0)),
         lambda: deterministic_baseline(eight, tight),
         lambda: fair_decomposition(eight, tight, eight_model),
+        lambda: max_total_value(eight, tight, eight_model, [0]),
     ]
     for call in calls:
         with pytest.raises(InfeasibleConstraints) as raised:
@@ -380,7 +382,8 @@ def _count_calls(monkeypatch, module, name):
 
 def test_one_weight_sort_per_oracle_call(eight, eight_upper, eight_model, monkeypatch):
     """The solver sorts its weights once per oracle call and hands the
-    order to ``_vertex``; it never sorts again through the public oracle."""
+    order to ``_vertex``; the package has no weighted oracle to sort
+    again through."""
     rng = np.random.default_rng(21)
     inst = random_instance(rng, n=9, groups=3)
     cons = random_upper_constraints(rng, inst)
@@ -388,13 +391,13 @@ def test_one_weight_sort_per_oracle_call(eight, eight_upper, eight_model, monkey
         (eight, eight_upper, eight_model),
         (inst, cons, ValueModel.log_ratio(inst)),
     ]
+    for module in (fairrank.oracle, fairrank.solver):
+        assert not hasattr(module, "weight_order_key")
     for instance, constraints, model in cases:
         vertices = _count_calls(monkeypatch, fairrank.solver, "_vertex")
-        keys = _count_calls(monkeypatch, fairrank.oracle, "weight_order_key")
         dist = solve_maxmin(instance, constraints, model)
         assert dist.oracle_calls > 1
         assert len(vertices) == dist.oracle_calls
-        assert keys == []
 
 
 def test_singular_active_set_raises(eight, eight_upper, eight_model, monkeypatch):
