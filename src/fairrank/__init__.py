@@ -12,15 +12,14 @@ command line tool.
 
 # Each module's ``__all__`` is the one list of its public names; the
 # package exports exactly those.
-from . import analysis, baseline, core, errors, oracle, solver
+from . import analysis, baseline, core, errors, solver
 from .core import *
 from .errors import *
-from .oracle import *
 from .baseline import *
 from .analysis import *
 from .solver import *
 
 __version__ = "0.1.0"
 
-_MODULES = (core, errors, oracle, baseline, analysis, solver)
+_MODULES = (core, errors, baseline, analysis, solver)
 __all__ = [name for module in _MODULES for name in module.__all__]

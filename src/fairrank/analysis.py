@@ -21,9 +21,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ConstraintSet, Instance, Ranking, ValueModel, is_valid
+from .core import (
+    ConstraintSet, Instance, Ranking, ValueModel, _fill, _greedy_fill, _vertex, is_valid,
+)
 from .errors import InstanceTooLarge
-from .oracle import _fill, _greedy_fill, _vertex
 from .solver import FairDistribution
 
 __all__ = [
@@ -166,14 +167,13 @@ def fair_decomposition(
     # One whole fill checks the caps; each table fill then walks only the
     # leading set, whose positions do not depend on who follows it.
     _greedy_fill(instance, constraints, instance.merit_order)
-    release, groups = constraints.release, instance._groups
     # scores[p] is the score of 1-based position p.
     scores = [0.0, *value_model.position_scores]
     prefixes = [[m[:k] for k in range(len(m) + 1)] for m in others]
     flat = array("d")
     for picked in itertools.product(*prefixes):
         chosen = list(itertools.chain.from_iterable(picked))
-        position = _fill(release, groups, chosen + lead)[1]
+        position = _fill(instance, constraints, chosen + lead)[1]
         total = sum([scores[position[u]] for u in chosen])
         flat.append(total)
         for u in lead:

@@ -9,8 +9,7 @@ can achieve, but with none of the randomized scheme's equalization.
 
 from __future__ import annotations
 
-from .core import ConstraintSet, Instance, Ranking, ValueModel
-from .oracle import _greedy_fill
+from .core import ConstraintSet, Instance, Ranking, ValueModel, _greedy_fill
 
 __all__ = ["deterministic_baseline", "baseline_min_value"]
 

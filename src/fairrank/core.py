@@ -6,7 +6,9 @@ a bijection from individuals onto positions ``1..n``.  A constraint set
 bounds, for every prefix length and every group, how many members of the
 group may appear (upper bounds) or must appear (lower bounds) in that
 prefix.  A value model scores how well a ranking treats each individual
-relative to their merit position.
+relative to their merit position.  The module ends with the greedy fill,
+the best-response oracle over the valid rankings: the package's only reader
+of a constraint set's release table.
 
 All objects here are immutable after construction and safe to share across
 threads; the module-level operations are pure functions.
@@ -200,7 +202,7 @@ class ValueModel:
       value is -1, 0 or +1 depending on crossing the top-``k`` boundary.
     """
 
-    __slots__ = ("position_scores", "merit_scores", "_g", "_scores", "_squares_finite")
+    __slots__ = ("position_scores", "merit_scores", "_g", "_scores", "_magnitude")
 
     def __init__(self, position_scores: Sequence[float], merit_scores: Sequence[float]):
         position_scores = [float(x) for x in position_scores]
@@ -215,16 +217,14 @@ class ValueModel:
         if (scores[2:] > scores[1:-1]).any():
             raise ValueError("position scores must be nonincreasing")
         # Python floats: an overflow gives inf or nan without a numpy warning.
-        self._squares_finite = True
+        self._magnitude = 0.0
         if position_scores:
             top = position_scores[0] - min(merit_scores)
             bottom = position_scores[-1] - max(merit_scores)
             if not math.isfinite(top - bottom):
                 raise ValueError("the range of values must have a finite width")
-            # No |value| exceeds m, so no sum of n products of a value and a
-            # difference of two values exceeds 2 n m^2.
-            m = max(abs(top), abs(bottom))
-            self._squares_finite = math.isfinite(2 * len(position_scores) * m * m)
+            # No |value| exceeds m; the solver reads it for its float bounds.
+            self._magnitude = max(abs(top), abs(bottom))
         self.position_scores = tuple(position_scores)
         self.merit_scores = tuple(merit_scores)
         g.setflags(write=False)
@@ -331,9 +331,10 @@ class ConstraintSet:
     ``upper[k][i-1]`` caps and ``lower[k][i-1]`` floors how many members of
     group ``k`` may appear in the first ``i`` positions.  Raw bounds are
     repaired at construction into the tightest equivalent monotone form,
-    which preserves the satisfying set exactly and is what the greedy oracle
-    relies on.  Construction fails with :class:`InfeasibleConstraints` when
-    some repaired floor exceeds the matching cap.
+    which preserves the satisfying set exactly and is what the greedy fill
+    (:func:`_greedy_fill`, below) relies on.  Construction fails with
+    :class:`InfeasibleConstraints` when some repaired floor exceeds the
+    matching cap.
 
     ``release[k][j]`` is the first 0-based position whose equivalent cap
     admits a ``(j+1)``-th member of group ``k``, or ``n`` when no prefix
@@ -341,9 +342,11 @@ class ConstraintSet:
     upper bounds, each tightened with two groups by the other group's floor
     (``l`` members of one group in a prefix of length ``i`` cap the other
     at ``i - l``) and repaired again.  They are nondecreasing, so once a
-    member is admitted it stays admitted; the greedy oracle fills from this
-    table.  Three or more groups with active lower bounds have no such
-    rewrite, and ``release`` is ``None``.
+    member is admitted it stays admitted.  The table is built once per set
+    and read by :func:`_fill` alone, which places each individual at the
+    first free position at or after their group's next release.  Three or
+    more groups with active lower bounds have no such rewrite, and
+    ``release`` is ``None``.
     """
 
     __slots__ = ("upper", "lower", "release", "upper_only", "n", "n_groups", "_caps")
@@ -511,3 +514,90 @@ def is_feasible(instance: Instance, constraints: ConstraintSet) -> bool:
         _equivalent_caps(constraints, instance), instance.group_sizes[:, None]
     ).sum(axis=0)
     return bool((capacity >= np.arange(1, instance.n + 1)).all())
+
+
+def _greedy_fill(
+    instance: Instance, constraints: ConstraintSet, order: Sequence[int]
+) -> Ranking:
+    """The ranking that fills positions 1..n, each time with the earliest
+    individual in ``order`` whose equivalent cap at that prefix still has
+    room: the best-response oracle.
+
+    For nonnegative weights ``w`` sorted into ``order`` (descending, ties
+    in merit order), this ranking maximizes ``sum_u w[u] * value(r, u)``
+    over the valid rankings.  Position scores are nonincreasing, so the
+    weighted score matrix ``w[u] * f(i)`` has the exchange (Monge) property
+    once individuals are sorted by descending weight: swapping an inverted
+    pair never helps, and filling top to bottom with the earliest
+    still-placeable individual is optimal.  The equivalent caps are in the
+    normalized monotone form, so a placement that respects the cap at its
+    own prefix never violates a later one.  So the fill takes the order,
+    not the weights: the solver sorts its weights, and
+    :func:`fairrank.analysis.max_total_value` puts a set's members first.
+
+    A position is left empty exactly when no ranking meets the bounds; this
+    is every entry point's infeasibility check, and raises
+    :class:`InfeasibleConstraints` naming the first empty position.  Raises
+    ``ValueError`` when the constraints have no equivalent caps.
+    """
+    _equivalent_caps(constraints, instance)
+    out, position = _fill(instance, constraints, order)
+    if -1 in out:
+        raise InfeasibleConstraints(
+            "no valid ranking satisfies the bounds: no group may take position "
+            f"{out.index(-1) + 1} without exceeding its cap"
+        )
+    return Ranking._trusted(tuple(out), tuple(position))
+
+
+def _fill(
+    instance: Instance, constraints: ConstraintSet, order: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """List scheduling of ``order`` over the release positions of checked
+    caps: each individual goes to the first free position at or after the
+    release of their group's next slot.
+
+    The top-to-bottom fill gives the first individual in ``order`` that
+    same position, because no one it would yield to is left; the rest then
+    fill the remaining positions by the same rule.  Releases only move later
+    within a group, so a group's members keep their order, and a prefix of
+    ``order`` takes the positions it takes in the whole walk.  The free
+    positions are the nonzero bytes of a ``bytearray``: a free release is
+    read directly, and a taken one costs one ``find`` in C however many
+    taken positions it crosses.  Returns the individual at each 0-based
+    position (``-1`` where none is) and each individual's 1-based position
+    (``0`` for one not placed).
+    """
+    release = constraints.release
+    groups = instance._groups
+    n = len(groups)
+    taken = [0] * len(release)
+    # free[n] stays set, so a search that finds no free position ends at n.
+    free = bytearray(b"\x01") * (n + 1)
+    find = free.find
+    out = [-1] * n
+    position = [0] * n
+    for u in order:
+        g = groups[u]
+        slot = release[g][taken[g]]
+        taken[g] += 1
+        if not free[slot]:
+            slot = find(1, slot)
+        if slot < n:
+            free[slot] = 0
+            out[slot] = u
+            position[u] = slot + 1
+    return out, position
+
+
+def _vertex(
+    instance: Instance,
+    constraints: ConstraintSet,
+    value_model: ValueModel,
+    order: Sequence[int],
+) -> tuple[Ranking, np.ndarray]:
+    """The greedy ranking for an order of the individuals and its
+    per-individual values: the oracle for callers that build and check
+    their own order.  Raises as :func:`_greedy_fill` does."""
+    ranking = _greedy_fill(instance, constraints, order)
+    return ranking, value_model.values(ranking)

@@ -60,9 +60,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConstraintSet, Instance, Ranking, ValueModel
+from .core import ConstraintSet, Instance, Ranking, ValueModel, _vertex
 from .errors import IterationCapExceeded
-from .oracle import _vertex
 
 logger = logging.getLogger(__name__)
 
@@ -319,7 +318,10 @@ def solve_maxmin(
     the cap of 50,000,000 oracle calls
     (``_ORACLE_CALL_CAP``) is reached, the oracle returns a vertex already
     in the active set, an affine step meets a singular active set, or a
-    major cycle fails to shorten ``x``.
+    major cycle fails to shorten ``x``.  When ``epsilon`` is below about
+    ``m sqrt(n) 2**-26``, the float resolution of the gap, the message says
+    so; such an epsilon is not refused up front, since a gap of exactly 0
+    still ends the solve.
 
     Each solve logs one INFO line with the keys ``oracle_calls``,
     ``iterations`` (affine solves, minor cycles included), ``support``,
@@ -331,10 +333,13 @@ def solve_maxmin(
     config = config or SolverConfig()
     if value_model.n != instance.n:
         raise ValueError("value model does not match the instance size")
-    if not value_model._squares_finite:
-        raise ValueError("values this large overflow the solver's sums of squares")
     eps = config.epsilon
     n = instance.n
+    # No |value| exceeds m, so no sum of n products of a value and a
+    # difference of two values exceeds 2 n m^2.
+    m = value_model._magnitude
+    if not math.isfinite(2 * n * m * m):
+        raise ValueError("values this large overflow the solver's sums of squares")
     merit = instance.merit_position
     scores = value_model.position_scores
     # Everyone's value, in x and in x* alike, lies in a range this wide, so
@@ -345,10 +350,19 @@ def solve_maxmin(
     solves = 0
 
     def stalled(reason: str) -> IterationCapExceeded:
-        return IterationCapExceeded(
+        message = (
             f"solver stalled: {reason} after {calls} oracle calls, "
             f"certified bound {bound:.6g} > epsilon {eps:g}"
         )
+        # x . x - x . q sums n terms of size up to m^2, each rounded to
+        # 2**-52 of itself, so a gap below this is float noise.
+        resolution = m * math.sqrt(n) * 2**-26
+        if eps < resolution:
+            message += (
+                f"; epsilon is below about {resolution:.3g}, the float "
+                "resolution of the gap at these values"
+            )
+        return IterationCapExceeded(message)
 
     def vertex(order: Sequence[int]) -> tuple[Ranking, np.ndarray]:
         nonlocal calls

@@ -22,7 +22,7 @@ from fairrank import (
     max_total_value, to_upper_only,
 )
 from fairrank.analysis import _FLOAT_TIE_TOL
-from fairrank.oracle import _vertex
+from fairrank.core import _vertex
 
 
 class OracleResult:

@@ -59,6 +59,11 @@ def test_instance_rejects_duplicate_ids():
         Instance.from_rows([("u1", "A", 0.5), ("u1", "B", 0.4)])
 
 
+def test_instance_rejects_an_empty_roster():
+    with pytest.raises(ValueError, match="at least one individual"):
+        Instance([])
+
+
 def test_instance_rejects_bad_scores():
     valid = [("u1", "A", 0.9), ("u2", "B", 0.0)]
     for bad in (-0.1, math.inf, -math.inf, math.nan):
@@ -307,6 +312,7 @@ def _assert_same_set(built, want):
     assert (built.upper, built.lower, built.release, built.upper_only) == (
         want.upper, want.lower, want.release, want.upper_only,
     )
+    assert hash(built) == hash(want)
 
 
 def _two_step(inst, lower):

@@ -22,7 +22,7 @@ from fairrank import (
     merit_ranking,
 )
 
-from fairrank.oracle import _greedy_fill
+from fairrank.core import _greedy_fill
 
 from conftest import (
     random_instance, random_upper_constraints, random_weights, ranking_cases,

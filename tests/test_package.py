@@ -1,7 +1,7 @@
 """The package surface: which names ``fairrank`` exports, and from where."""
 
 import fairrank
-from fairrank import analysis, baseline, cli, core, errors, oracle, solver
+from fairrank import analysis, baseline, cli, core, errors, solver
 
 PUBLIC = [
     "ConstraintSet", "DuplicateId", "FairDecomposition", "FairDistribution",
@@ -25,7 +25,7 @@ def test_package_exports_each_public_name_once():
         assert getattr(fairrank, name) is not None
     listed = [
         name
-        for module in (analysis, baseline, cli, core, errors, oracle, solver)
+        for module in (analysis, baseline, cli, core, errors, solver)
         for name in module.__all__
     ]
     assert len(listed) == len(set(listed))

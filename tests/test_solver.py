@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-import fairrank.oracle
+import fairrank.core
 import fairrank.solver
 from fairrank import (
     ConstraintSet,
@@ -391,7 +391,7 @@ def test_one_weight_sort_per_oracle_call(eight, eight_upper, eight_model, monkey
         (eight, eight_upper, eight_model),
         (inst, cons, ValueModel.log_ratio(inst)),
     ]
-    for module in (fairrank.oracle, fairrank.solver):
+    for module in (fairrank.core, fairrank.solver):
         assert not hasattr(module, "weight_order_key")
     for instance, constraints, model in cases:
         vertices = _count_calls(monkeypatch, fairrank.solver, "_vertex")
@@ -536,6 +536,37 @@ def test_values_whose_squares_overflow_are_refused_before_the_first_call(
     else:
         solve_maxmin(inst, cons, model, SolverConfig(epsilon=top))
         assert len(calls) == 1
+
+
+def test_a_stall_names_an_epsilon_below_the_gap_resolution():
+    """The gap of values of magnitude ``m`` is float noise below about
+    ``m sqrt(n) 2**-26``.  On the roster above, scores ``[1e150, 0, 0, 0]``
+    at epsilon 0.01 and ``[1e12, 0, 0, 0]`` at epsilon 1 stall, and the
+    message names that resolution; ``[1e20, 0, 0, 0]`` at 0.01 is below it
+    too, yet solves, so such an epsilon is not refused up front.  The
+    ceil-0.3 n=160 stall at 0.01 sits far above its resolution of about
+    3e-5 and keeps its message."""
+    inst = Instance.from_rows([("a", "M", 0.9), ("b", "F", 0.8), ("c", "M", 0.7), ("d", "F", 0.6)])
+    cons = ConstraintSet([[0, 1, 2, 2], [1, 2, 2, 2]])
+    for top, eps, resolution in [(1e150, 0.01, "2.98e+142"), (1e12, 1.0, "2.98e+04")]:
+        f = [top, 0.0, 0.0, 0.0]
+        model = ValueModel.custom(f, [f[p - 1] for p in inst.merit_position])
+        with pytest.raises(IterationCapExceeded) as stall:
+            solve_maxmin(inst, cons, model, SolverConfig(epsilon=eps))
+        assert str(stall.value).endswith(
+            f"; epsilon is below about {resolution}, the float resolution "
+            "of the gap at these values"
+        )
+    f = [1e20, 0.0, 0.0, 0.0]
+    model = ValueModel.custom(f, [f[p - 1] for p in inst.merit_position])
+    assert solve_maxmin(inst, cons, model, SolverConfig(epsilon=0.01)).oracle_calls == 3
+    inst, cons = _ceil_roster(160)
+    with pytest.raises(IterationCapExceeded) as stall:
+        solve_maxmin(inst, cons, ValueModel.position_diff(inst), SolverConfig(epsilon=0.01))
+    assert str(stall.value) == (
+        "solver stalled: a major cycle did not shorten x after 28 oracle calls, "
+        "certified bound 0.013846 > epsilon 0.01"
+    )
 
 
 def test_solve_logs_one_info_line(eight, eight_upper, eight_model, caplog):
