@@ -167,8 +167,12 @@ def fair_decomposition(
     # One whole fill checks the caps; each table fill then walks only the
     # leading set, whose positions do not depend on who follows it.
     _greedy_fill(instance, constraints, instance.merit_order)
-    # scores[p] is the score of 1-based position p.
-    scores = [0.0, *value_model.position_scores]
+    # scores[p] is the score of 1-based position p.  A value is a difference
+    # of scores, so taking the last position score off both score vectors
+    # changes no value, and a constant shared by every score cannot swamp
+    # the table's sums.
+    low = value_model.position_scores[-1]
+    scores = [0.0, *(f - low for f in value_model.position_scores)]
     prefixes = [[m[:k] for k in range(len(m) + 1)] for m in others]
     flat = array("d")
     for picked in itertools.product(*prefixes):
@@ -187,7 +191,7 @@ def fair_decomposition(
     while sum(frozen) < n:
         rest = [m[c:] for m, c in zip(by_group, frozen)]
         corner = tuple(len(m) + 1 for m in rest)
-        merit = [np.concatenate(([0.0], np.cumsum(g[m]))) for m in rest]
+        merit = [np.concatenate(([0.0], np.cumsum(g[m] - low))) for m in rest]
         gain = table[tuple(slice(c, None) for c in frozen)] - table[frozen]
         # Flat index 0, the empty set at the frozen corner, is left out.
         gain = (gain - sum(np.ix_(*merit))).ravel()[1:]

@@ -185,6 +185,18 @@ def test_decomposition_golden(eight, eight_lower, eight_model):
     assert targets["u6"] == 1.0
 
 
+def test_decomposition_ignores_a_constant_offset(eight, eight_lower):
+    """Adding 2**52 to every position and merit score changes no value, and
+    every score stays an exact float, so the blocks are the offset-0 ones;
+    a table of position totals that kept the offset would round away their
+    low bits."""
+    f = [2.0**52 + (8 - i) for i in range(1, 9)]
+    model = ValueModel.custom(f, [f[p - 1] for p in eight.merit_position])
+    dec = fair_decomposition(eight, eight_lower, model)
+    assert dec.blocks == (((0, 1, 3, 4), -0.75), ((2,), 0.0), ((5, 6, 7), 1.0))
+    assert min_satisfaction_bound(eight, eight_lower, model) == -0.75
+
+
 def test_decomposition_invariants(eight, eight_lower, eight_model):
     rng = np.random.default_rng(17)
     cases = [(eight, eight_lower, eight_model)]

@@ -560,6 +560,25 @@ def test_rule_file_solves_like_the_rule_flags(eight_csv, tmp_path, capsys):
     assert "protected group" in payload["error"]["message"]
 
 
+def test_bound_file_with_a_cap_table_and_a_floor_table(tmp_path, capsys):
+    """F must take position 1 and M at most one of the first two, so the
+    valid rankings are b, a, c and b, c, a; the maxmin solve serves the
+    first with certainty, and metrics re-reads the stored file."""
+    roster = tmp_path / "abc.csv"
+    roster.write_text(ABC_CSV)
+    bounds = tmp_path / "bounds.json"
+    bounds.write_text(json.dumps({"upper": {"M": [0, 1, 2]}, "lower": {"F": [1, 1, 1]}}))
+    stored = tmp_path / "bounded.json"
+    flags = ["--input", str(roster), "--constraints", str(bounds)]
+    assert run(["solve", *flags, "--output", str(stored)]) == 0
+    solved = json.loads(stored.read_text())
+    assert solved["support"] == [{"probability": 1.0, "ranking": ["b", "a", "c"]}]
+    code, metrics = run_json(capsys, ["metrics", *flags, "--distribution", str(stored)])
+    assert code == 0
+    assert metrics["expected_satisfaction"] == solved["expected_satisfaction"]
+    assert solved["expected_satisfaction"] == {"a": -1.0, "b": 1.0, "c": 0.0}
+
+
 def test_byte_order_mark_is_ignored_in_every_input_file(eight_csv, tmp_path, capsys):
     """A UTF-8 byte-order mark, as spreadsheet programs write one, reads
     like the same file without it: roster CSV, constraint JSON and stored
@@ -600,20 +619,36 @@ def test_solve_with_the_top_k_value_function(eight_csv, capsys):
     assert sum(expected.values()) == pytest.approx(0.0, abs=1e-9)
 
 
-def test_decompose_command(eight_csv, capsys):
-    code, payload = run_json(capsys, [
-        "decompose", "--input", eight_csv, "--rule", "floor-balanced",
-    ])
-    assert code == 0
-    levels = {
-        frozenset(block["individuals"]): block["lambda"]
-        for block in payload["blocks"]
-    }
-    assert levels == {
+# Two groups of 100, all of a ahead of b in merit: a 101 * 101 = 10201-cell
+# count-lattice table.  The balance floors put a at positions 1, 2, 5, 7,
+# ..., 199, which sum to 9999 against 5050 in merit order.
+WIDE_CSV = "id,group,score\n" + "".join(
+    f"x{i},{'ab'[i // 100]},{1 - i / 400}\n" for i in range(200)
+)
+
+
+@pytest.mark.parametrize("text, levels", [
+    (EIGHT_CSV, {
         frozenset({"u1", "u2", "u4", "u5"}): -0.75,
         frozenset({"u3"}): 0.0,
         frozenset({"u6", "u7", "u8"}): 1.0,
-    }
+    }),
+    (WIDE_CSV, {
+        frozenset(f"x{i}" for i in range(100)): -49.49,
+        frozenset(f"x{i}" for i in range(100, 200)): 49.49,
+    }),
+], ids=["eight", "two-groups-of-100"])
+def test_decompose_command(text, levels, tmp_path, capsys):
+    roster = tmp_path / "roster.csv"
+    roster.write_text(text)
+    code, payload = run_json(capsys, [
+        "decompose", "--input", str(roster), "--rule", "floor-balanced",
+    ])
+    assert code == 0
+    assert {
+        frozenset(block["individuals"]): block["lambda"]
+        for block in payload["blocks"]
+    } == levels
 
 
 def test_experiment_command(eight_csv, capsys):
@@ -877,6 +912,30 @@ def test_exit_code_for_size_guard(tmp_path, capsys):
     code, payload = run_json(capsys, ["decompose", "--input", str(big)])
     assert code == 4
     assert payload["error"]["type"] == "InstanceTooLarge"
+
+
+def test_module_entry_point(tmp_path):
+    """``python -m fairrank`` runs ``cli.main``: a result goes to stdout
+    with exit 0, a refusal to stderr as error JSON with its exit code."""
+    roster = tmp_path / "abc.csv"
+    roster.write_text(ABC_CSV)
+    src = os.path.dirname(os.path.dirname(fairrank.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "fairrank", *argv, "--input", str(roster)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    done = module("baseline")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["ranking"] == ["a", "b", "c"]
+    refused = module("solve", "--epsilon", "inf")
+    assert (refused.returncode, refused.stdout) == (2, "")
+    assert json.loads(refused.stderr)["error"]["message"] == (
+        "epsilon must be positive and finite"
+    )
 
 
 def test_import_leaves_scipy_unloaded():

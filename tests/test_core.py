@@ -87,6 +87,7 @@ def test_ranking_round_trip(eight):
     assert r.ids(eight) == ("u2", "u1", "u3", "u6", "u4", "u8", "u5", "u7")
     for idx in range(eight.n):
         assert r.order[r.position[idx] - 1] == idx
+    assert repr(Ranking([1, 0])) == "Ranking([1, 0])"
 
 
 def test_ranking_from_ids_needs_a_permutation_of_the_roster():

@@ -1,4 +1,8 @@
-"""The package surface: which names ``fairrank`` exports, and from where."""
+"""The package surface: which names ``fairrank`` exports, and from where,
+and the README's python blocks."""
+
+import re
+from pathlib import Path
 
 import fairrank
 from fairrank import analysis, baseline, cli, core, errors, solver
@@ -29,3 +33,15 @@ def test_package_exports_each_public_name_once():
         for name in module.__all__
     ]
     assert len(listed) == len(set(listed))
+
+
+def test_readme_python_blocks_run():
+    """Every python block of README.md, in order in one namespace: a
+    quickstart that imports a deleted module or a renamed public name
+    fails here."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(block, namespace)

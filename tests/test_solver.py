@@ -64,6 +64,7 @@ def test_solution_phases_and_support(eight, eight_upper, eight_solution):
     assert all(is_valid(r, eight, eight_upper) for r, _ in eight_solution.support)
     assert eight_solution.oracle_calls > 0
     assert eight_solution.epsilon == 0.01
+    assert repr(eight_solution).startswith("FairDistribution(support=")
 
 
 def test_solution_conserves_mean_satisfaction(eight_solution):
