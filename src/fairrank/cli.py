@@ -12,7 +12,9 @@ Subcommands::
                 constraints
     decompose   exact satisfaction-block decomposition (from a table over
                 group count vectors of at most 2**20 cells)
-    experiment  compare fair and deterministic rankings over an alpha grid
+    experiment  run ``solve`` and ``baseline`` under ceil-alpha at each alpha
+                of a grid; a row holds the solve's metrics, support size
+                and oracle calls, and the baseline's metrics
 
 Instances are CSV files with header ``id,group,score``; groups are indexed
 by first appearance.  Constraints come either from a JSON file (explicit
@@ -202,7 +204,7 @@ def _refuse_unread(spec: dict, read: tuple[str, ...]) -> None:
 
 
 # Every ``--value-fn`` name, with the model it builds from the roster (and
-# ``--k`` for top-k); both parsers take their choices from here.
+# ``--k`` for top-k); ``--value-fn`` takes its choices from here.
 _VALUE_FNS = {
     "position-diff": ValueModel.position_diff,
     "log-ratio": ValueModel.log_ratio,
@@ -221,17 +223,13 @@ def _value_model(args, instance: Instance) -> ValueModel:
     return _VALUE_FNS[args.value_fn](instance, *k)
 
 
-def _sig12(x: float) -> float:
-    return float(f"{x:.12g}")
-
-
 def distribution_to_dict(distribution: FairDistribution) -> dict:
     """JSON-ready view of a distribution (probabilities at 12 significant
     digits)."""
     instance = distribution.instance
     return {
         "support": [
-            {"probability": _sig12(p), "ranking": list(r.ids(instance))}
+            {"probability": float(f"{p:.12g}"), "ranking": list(r.ids(instance))}
             for r, p in distribution.support
         ],
         "expected_satisfaction": distribution.expected_by_id(),
@@ -383,22 +381,18 @@ def _constraints_from_args(args, instance: Instance) -> ConstraintSet:
     return load_constraints(instance, _rule_object(args, instance, args.alpha))
 
 
-def _cmd_solve(args) -> dict:
-    instance = parse_instance(_read(args.input))
-    constraints = _constraints_from_args(args, instance)
-    value_model = _value_model(args, instance)
-    config = SolverConfig(args.epsilon)
+def _solve_payload(instance, constraints, value_model, config) -> dict:
+    """The ``solve`` result: the stored form of the distribution and its
+    metrics."""
     distribution = solve_maxmin(instance, constraints, value_model, config)
     payload = distribution_to_dict(distribution)
     payload["metrics"] = analysis.metrics_for_distribution(instance, distribution).to_dict()
     return payload
 
 
-def _cmd_baseline(args) -> dict:
-    instance = parse_instance(_read(args.input))
-    constraints = _constraints_from_args(args, instance)
-    ranking = baseline_mod.deterministic_baseline(instance, constraints)
-    value_model = _value_model(args, instance)
+def _baseline_payload(instance, value_model, ranking: Ranking) -> dict:
+    """The ``baseline`` result: the merit-greedy ``ranking`` with each
+    individual's value and the metrics."""
     values = value_model.values(ranking)
     return {
         "ranking": list(ranking.ids(instance)),
@@ -408,14 +402,28 @@ def _cmd_baseline(args) -> dict:
     }
 
 
+def _cmd_solve(args) -> dict:
+    instance = parse_instance(_read(args.input))
+    constraints = _constraints_from_args(args, instance)
+    value_model = _value_model(args, instance)
+    return _solve_payload(instance, constraints, value_model, SolverConfig(args.epsilon))
+
+
+def _cmd_baseline(args) -> dict:
+    instance = parse_instance(_read(args.input))
+    constraints = _constraints_from_args(args, instance)
+    ranking = baseline_mod.deterministic_baseline(instance, constraints)
+    return _baseline_payload(instance, _value_model(args, instance), ranking)
+
+
 def _cmd_sample(args) -> dict:
     data = _read_json(args.distribution)
     if args.input:
         instance = parse_instance(_read(args.input))
         constraints = _constraints_from_args(args, instance)
     elif any(
-        getattr(args, name) is not None
-        for name in ("constraints", "rule", "alpha", "protected", "start_k")
+        getattr(args, flag[2:].replace("-", "_")) is not None
+        for flag, _ in _SOURCE_FLAGS + _FIELD_FLAGS
     ):
         raise ValueError("checking against constraints needs --input")
     else:
@@ -443,45 +451,33 @@ def _cmd_decompose(args) -> dict:
     constraints = _constraints_from_args(args, instance)
     value_model = _value_model(args, instance)
     decomposition = analysis.fair_decomposition(instance, constraints, value_model)
-    return {
-        "blocks": [
-            {
-                "individuals": [instance.ids[i] for i in members],
-                "lambda": level,
-            }
-            for members, level in decomposition.blocks
-        ],
-        "targets": decomposition.targets_by_id(instance),
-    }
+    blocks = [
+        {"individuals": [instance.ids[i] for i in members], "lambda": level}
+        for members, level in decomposition.blocks
+    ]
+    return {"blocks": blocks, "targets": decomposition.targets_by_id(instance)}
 
 
 def _cmd_experiment(args) -> dict:
+    """``solve`` and ``baseline`` under ceil-alpha at each alpha of the
+    grid: a row holds the solve's metrics, support size and oracle calls,
+    and the baseline's metrics."""
     instance = parse_instance(_read(args.input))
     value_model = _value_model(args, instance)
-    alphas = (
-        [float(a) for a in str(args.alpha).split(",")]
-        if args.alpha is not None
-        else [0.1, 0.2, 0.3]
-    )
+    alphas = [float(a) for a in args.alpha.split(",")]
     rules = [_rule_object(args, instance, alpha) for alpha in alphas]
-    rows = []
     config = SolverConfig(args.epsilon)
+    rows = []
     for rule in rules:
         constraints = load_constraints(instance, rule)
-        distribution = solve_maxmin(instance, constraints, value_model, config)
-        det = baseline_mod.deterministic_baseline(instance, constraints)
-        fair_metrics = analysis.metrics_for_distribution(instance, distribution).to_dict()
-        fair_metrics["support_size"] = distribution.support_size
-        fair_metrics["oracle_calls"] = distribution.oracle_calls
-        rows.append(
-            {
-                "alpha": rule["alpha"],
-                "maxmin": fair_metrics,
-                "deterministic": analysis.metrics_for_ranking(
-                    instance, value_model, det
-                ).to_dict(),
-            }
-        )
+        solved = _solve_payload(instance, constraints, value_model, config)
+        ranking = baseline_mod.deterministic_baseline(instance, constraints)
+        fair = {"support_size": len(solved["support"]), "oracle_calls": solved["oracle_calls"]}
+        rows.append({
+            "alpha": rule["alpha"],
+            "maxmin": solved["metrics"] | fair,
+            "deterministic": _baseline_payload(instance, value_model, ranking)["metrics"],
+        })
     return {
         "value_fn": args.value_fn,
         "epsilon": args.epsilon,
@@ -491,79 +487,74 @@ def _cmd_experiment(args) -> dict:
     }
 
 
+# The flags that choose constraints, as ``(flag, argparse keywords)``:
+# where the constraints come from, then the fields of a rule.  ``sample``
+# refuses every one of them without ``--input``.
+_SOURCE_FLAGS = (
+    ("--constraints", dict(help="constraint JSON path")),
+    ("--rule", dict(choices=list(_RULE_FIELDS), help="inline constraint rule")),
+    ("--alpha", dict(type=float, help="protected share for the ceil-alpha rule")),
+)
+_FIELD_FLAGS = (
+    ("--protected", dict(help="protected group label (default: first group)")),
+    ("--start-k", dict(type=int, help="first prefix length the rule applies to")),
+)
+_VALUE_FLAGS = (
+    ("--value-fn", dict(default="position-diff", choices=list(_VALUE_FNS),
+                        help="value model of the positions (default: %(default)s)")),
+    ("--k", dict(type=int, help="cutoff for the top-k value function")),
+)
+
+
+def _flags(*specs) -> argparse.ArgumentParser:
+    """A parent parser, without ``-h``, declaring ``(flag, keywords)``
+    specs in order."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for flag, keywords in specs:
+        parent.add_argument(flag, **keywords)
+    return parent
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fairrank",
         description="Maxmin-fair ranking under prefix group-fairness constraints",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    source, fields, value = _flags(*_SOURCE_FLAGS), _flags(*_FIELD_FLAGS), _flags(*_VALUE_FLAGS)
+    output = _flags(("--output", dict(help="write JSON here instead of stdout")))
+    stored = _flags(("--distribution", dict(required=True, help="distribution JSON path")))
+    seed = _flags(("--seed", dict(type=int, default=0, help="seed of the draw")))
+    grid = _flags(("--alpha", dict(default="0.1,0.2,0.3",
+                                   help="comma-separated alpha grid (default %(default)s)")))
 
-    def add_instance(p, input_required=True):
-        p.add_argument("--input", required=input_required,
-                       help="instance CSV path")
-        p.add_argument("--constraints", help="constraint JSON path")
-        p.add_argument("--rule", choices=list(_RULE_FIELDS),
-                       help="inline constraint rule")
-        p.add_argument("--alpha", type=float, default=None,
-                       help="protected share for the ceil-alpha rule")
-        p.add_argument("--protected", default=None,
-                       help="protected group label (default: first group)")
-        p.add_argument("--start-k", type=int, default=None, dest="start_k",
-                       help="first prefix length the rule applies to")
+    def epsilon(default):
+        return _flags(("--epsilon", dict(type=float, default=default,
+                                         help="additive accuracy in value units")))
 
-    def add_value_model(p, epsilon=None):
-        p.add_argument("--value-fn", default="position-diff", dest="value_fn",
-                       choices=list(_VALUE_FNS))
-        p.add_argument("--k", type=int, default=None,
-                       help="cutoff for the top-k value function")
-        if epsilon is not None:
-            p.add_argument("--epsilon", type=float, default=epsilon,
-                           help="additive accuracy in value units")
-        p.add_argument("--output", default=None, help="write JSON here instead of stdout")
-
-    def add_common(p, epsilon=None):
-        add_instance(p)
-        add_value_model(p, epsilon)
-
-    p = sub.add_parser("solve", help="maxmin-fair distribution")
-    add_common(p, epsilon=0.01)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("baseline", help="deterministic merit-greedy ranking")
-    add_common(p)
-    p.set_defaults(func=_cmd_baseline)
-
-    p = sub.add_parser("sample", help="draw one ranking from a stored distribution")
-    add_instance(p, input_required=False)
-    p.add_argument("--distribution", required=True, help="distribution JSON path")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("metrics", help="re-evaluate a stored distribution")
-    add_common(p)
-    p.add_argument("--distribution", required=True, help="distribution JSON path")
-    p.set_defaults(func=_cmd_metrics)
-
-    p = sub.add_parser("decompose", help="exact satisfaction-block decomposition")
-    add_common(p)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("experiment", help="fair vs deterministic over an alpha grid")
-    p.add_argument("--input", required=True)
-    p.add_argument("--alpha", default=None,
-                   help="comma-separated alpha grid (default 0.1,0.2,0.3)")
-    p.add_argument("--protected", default=None)
-    p.add_argument("--start-k", type=int, default=None, dest="start_k")
-    add_value_model(p, epsilon=1.0)
-    p.set_defaults(func=_cmd_experiment, rule="ceil-alpha")
-
+    # Each subcommand lists the flag groups it reads, in --help order.
+    for name, func, help_, groups in (
+        ("solve", _cmd_solve, "maxmin-fair distribution",
+         (source, fields, value, epsilon(0.01), output)),
+        ("baseline", _cmd_baseline, "deterministic merit-greedy ranking",
+         (source, fields, value, output)),
+        ("sample", _cmd_sample, "draw one ranking from a stored distribution",
+         (source, fields, stored, seed, output)),
+        ("metrics", _cmd_metrics, "re-evaluate a stored distribution",
+         (source, fields, value, output, stored)),
+        ("decompose", _cmd_decompose, "exact satisfaction-block decomposition",
+         (source, fields, value, output)),
+        ("experiment", _cmd_experiment, "fair vs deterministic over an alpha grid",
+         (grid, fields, value, epsilon(1.0), output)),
+    ):
+        roster = _flags(("--input", dict(required=name != "sample", help="instance CSV path")))
+        sub.add_parser(name, help=help_, parents=[roster, *groups]).set_defaults(func=func)
+    sub.choices["experiment"].set_defaults(rule="ceil-alpha")
     return parser
 
 
-_EXIT_PARSE = 2
-_EXIT_INFEASIBLE = 3
-_EXIT_GUARD = 4
+# The exit code of each failure class that is not malformed input.
+_EXIT_CODES = ((InfeasibleConstraints, 3), (InstanceTooLarge, 4), (IterationCapExceeded, 4))
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -572,19 +563,12 @@ def run(argv: Sequence[str] | None = None) -> int:
     Failures print ``{"error": ...}`` to stderr and return the
     class-specific exit code instead of raising.
     """
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         _emit(args.func(args), args.output)
-    except (InstanceTooLarge, IterationCapExceeded) as exc:
-        _emit_error(exc)
-        return _EXIT_GUARD
-    except InfeasibleConstraints as exc:
-        _emit_error(exc)
-        return _EXIT_INFEASIBLE
     except (ValueError, KeyError, OSError, FairRankingError) as exc:
         _emit_error(exc)
-        return _EXIT_PARSE
+        return next((code for kind, code in _EXIT_CODES if isinstance(exc, kind)), 2)
     return 0
 
 

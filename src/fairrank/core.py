@@ -42,12 +42,12 @@ class Instance:
     """An ordered roster of individuals partitioned into groups.
 
     Built from ``(id, group_label, score)`` rows: ids must be unique and
-    scores finite and nonnegative.  Group labels are mapped to indices
-    ``0..n_groups-1`` in order of first appearance, so no group is empty.
-    The merit order sorts by descending relevance with ties broken by
-    ascending id, so it is a strict total order even when scores coincide.
-    That same tie rule is reused everywhere an ordering of individuals is
-    needed.
+    scores finite and nonnegative, with a total whose square is finite.
+    Group labels are mapped to indices ``0..n_groups-1`` in order of first
+    appearance, so no group is empty.  The merit order sorts by descending
+    relevance with ties broken by ascending id, so it is a strict total
+    order even when scores coincide.  That same tie rule is reused
+    everywhere an ordering of individuals is needed.
     """
 
     __slots__ = (
@@ -80,6 +80,11 @@ class Instance:
         scores = relevance.tolist()
         if not all(0 <= x < math.inf for x in scores):
             raise ValueError("relevance scores must be finite and nonnegative")
+        # A DCG is at most the relevance total, and its squared deviation
+        # from a mean DCG at most the total's square: no metric overflows.
+        total = sum(scores)
+        if not total * total < math.inf:
+            raise ValueError("relevance scores are too large: their total's square overflows")
         group_of = np.array(groups, dtype=int)
         # The greedy fill indexes groups from Python once per placement.
         self._groups = tuple(groups)

@@ -71,8 +71,9 @@ logger = logging.getLogger(__name__)
 _WEIGHT_DUST = 1e-12
 
 # Support probabilities must sum to one within this.  Stored distributions
-# round each probability to 12 significant digits, at most 5e-13 off, so a
-# stored support of up to 2,000 atoms still loads.
+# round each probability to 12 significant digits, a relative error of at
+# most 5e-12, so the rounded probabilities sum to within 5e-12 of the true
+# sum (plus float summation error) whatever the support size.
 _MASS_TOLERANCE = 1e-9
 
 # Oracle calls one solve may make before it stalls with

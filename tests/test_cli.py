@@ -1,5 +1,7 @@
 """Command line interface, driven through run() with real files."""
 
+import argparse
+from itertools import permutations
 import json
 import os
 import subprocess
@@ -12,7 +14,9 @@ import fairrank
 
 from fairrank import DuplicateId, ParseError
 from fairrank.cli import (
+    _build_parser,
     distribution_from_dict,
+    distribution_to_dict,
     load_constraints,
     parse_instance,
     run,
@@ -428,6 +432,29 @@ def test_distribution_from_dict_merges_duplicate_support(eight, eight_model):
     assert not dist.atoms[0].values.flags.writeable
 
 
+def test_a_support_of_5040_atoms_round_trips_through_json():
+    """Stored probabilities keep 12 significant digits, each at most 5e-12
+    of itself off, so the stored mass stays within 1e-9 of one at any
+    support size: all 5,040 rankings of 7 people, with uneven
+    probabilities, reload atom for atom."""
+    inst = fairrank.Instance.from_rows(
+        (f"u{i}", "MF"[i % 2], 1.0 - i / 10) for i in range(7)
+    )
+    model = fairrank.ValueModel.position_diff(inst)
+    rankings = [fairrank.Ranking(order) for order in permutations(range(7))]
+    probabilities = np.random.default_rng(0).dirichlet(np.ones(len(rankings)))
+    rows = np.array([model.values(r) for r in rankings])
+    dist = fairrank.FairDistribution(inst, rankings, probabilities.tolist(), rows)
+    stored = json.loads(json.dumps(distribution_to_dict(dist)))
+    assert abs(sum(atom["probability"] for atom in stored["support"]) - 1) < 1e-11
+    loaded = distribution_from_dict(inst, model, stored)
+    assert loaded.support_size == 5040
+    assert [(list(r.ids(inst)), p) for r, p in loaded.support] == [
+        (atom["ranking"], atom["probability"]) for atom in stored["support"]
+    ]
+    assert np.allclose(loaded.expected, dist.expected, rtol=0, atol=1e-9)
+
+
 def test_distribution_from_dict_validates_probabilities(eight, eight_model):
     """The reader names a negative stored atom by its index in the file and
     drops atoms of probability zero."""
@@ -664,9 +691,9 @@ def test_experiment_command(eight_csv, capsys):
 
 @pytest.mark.parametrize("protected", [[], ["--protected", "F"]])
 def test_experiment_rows_match_solve_and_baseline(eight_csv, protected, capsys):
-    """With the same rule flags, each experiment row's maxmin metrics are
-    the metrics of ``solve --rule ceil-alpha`` and its deterministic ones
-    those of ``baseline``."""
+    """With the same rule flags, each experiment row's maxmin metrics,
+    support size and oracle calls are those of ``solve --rule ceil-alpha``
+    and its deterministic metrics those of ``baseline``."""
     flags = [*protected, "--start-k", "2"]
     code, payload = run_json(capsys, [
         "experiment", "--input", eight_csv, "--alpha", "0.25,0.5",
@@ -679,9 +706,67 @@ def test_experiment_rows_match_solve_and_baseline(eight_csv, protected, capsys):
         code, solved = run_json(capsys, ["solve", *rule, "--epsilon", "0.05"])
         assert code == 0
         assert {key: row["maxmin"][key] for key in solved["metrics"]} == solved["metrics"]
+        assert row["maxmin"]["support_size"] == len(solved["support"])
+        assert row["maxmin"]["oracle_calls"] == solved["oracle_calls"]
         code, base = run_json(capsys, ["baseline", *rule])
         assert code == 0
         assert row["deterministic"] == base["metrics"]
+
+
+_RULE_OPTIONS = ["--input", "--constraints", "--rule", "--alpha", "--protected", "--start-k"]
+_VALUE_OPTIONS = ["--value-fn", "--k"]
+
+
+# Each subcommand's options besides -h, in --help order.
+_OPTIONS = {
+    "solve": [*_RULE_OPTIONS, *_VALUE_OPTIONS, "--epsilon", "--output"],
+    "baseline": [*_RULE_OPTIONS, *_VALUE_OPTIONS, "--output"],
+    "sample": [*_RULE_OPTIONS, "--distribution", "--seed", "--output"],
+    "metrics": [*_RULE_OPTIONS, *_VALUE_OPTIONS, "--output", "--distribution"],
+    "decompose": [*_RULE_OPTIONS, *_VALUE_OPTIONS, "--output"],
+    "experiment": [
+        "--input", "--alpha", "--protected", "--start-k", *_VALUE_OPTIONS,
+        "--epsilon", "--output",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", list(_OPTIONS))
+def test_each_subcommand_reads_its_options(command, capsys):
+    """The value-model flags are not ``sample``'s, and ``experiment`` reads
+    no ``--constraints`` or ``--rule``.  Every option has a help string,
+    and ``--help`` exits 0."""
+    (subcommands,) = [
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    actions = [
+        action for action in subcommands.choices[command]._actions
+        if "--help" not in action.option_strings
+    ]
+    assert [action.option_strings[0] for action in actions] == _OPTIONS[command]
+    assert all(action.help for action in actions)
+    with pytest.raises(SystemExit) as exit_info:
+        run([command, "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: fairrank {command} ")
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["solve", "--rule", "floor-balanced", "--start-k", "1"],
+     "a,M,1e200\nb,M,9e199\nc,F,1e199\nd,F,5e198\n"),
+    (["baseline"], "a,M,1.7e308\nb,F,1.7e308\nc,M,0.5\n"),
+], ids=["solve-1e200", "baseline-1.7e308"])
+def test_scores_whose_total_squared_overflows_exit_2(argv, rows, tmp_path, capsys):
+    """The DCG metrics of such a roster would overflow to ``Infinity``,
+    which is not JSON, or to a silently wrong standard deviation; the
+    roster is refused instead, with nothing on stdout."""
+    roster = tmp_path / "roster.csv"
+    roster.write_text("id,group,score\n" + rows)
+    code, payload = run_json(capsys, [argv[0], "--input", str(roster), *argv[1:]])
+    assert code == 2
+    assert payload["error"]["type"] == "ValueError"
+    assert "too large" in payload["error"]["message"]
 
 
 @pytest.mark.parametrize("command", ["solve", "experiment"])

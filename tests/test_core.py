@@ -72,6 +72,16 @@ def test_instance_rejects_bad_scores():
                 Instance(rows)
 
 
+def test_instance_refuses_a_relevance_total_whose_square_overflows():
+    """Every DCG is at most the relevance total, and its squared deviation
+    from a mean DCG at most the total's square, which must be finite; a
+    score of 1e154 still fits."""
+    for rows in ([("u1", "A", 1e200)], [("u1", "A", 1.7e308), ("u2", "B", 1.7e308)]):
+        with pytest.raises(ValueError, match="too large"):
+            Instance(rows)
+    assert Instance([("u1", "A", 1e154), ("u2", "B", 0.0)]).n == 2
+
+
 def test_instance_indexes_groups_by_first_appearance():
     """Group labels become indices 0..t-1 in order of first appearance, so
     every index names a nonempty group."""
