@@ -6,9 +6,12 @@ a bijection from individuals onto positions ``1..n``.  A constraint set
 bounds, for every prefix length and every group, how many members of the
 group may appear (upper bounds) or must appear (lower bounds) in that
 prefix.  A value model scores how well a ranking treats each individual
-relative to their merit position.  The module ends with the greedy fill,
-the best-response oracle over the valid rankings: the package's only reader
-of a constraint set's release table.
+relative to their merit position.  Then comes the greedy fill, the
+best-response oracle over the valid rankings: the package's only reader of
+a constraint set's release table.  The module ends with the one caller
+that relies on the fill's leading-set property, the count table of the
+exact block decomposition; :mod:`fairrank.analysis` exports it, and the
+solver reads its levels when it stalls.
 
 All objects here are immutable after construction and safe to share across
 threads; the module-level operations are pure functions.
@@ -16,13 +19,16 @@ threads; the module-level operations are pure functions.
 
 from __future__ import annotations
 
+import itertools
 import math
+from array import array
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleConstraints
+from .errors import InfeasibleConstraints, InstanceTooLarge
 
 __all__ = [
     "Instance",
@@ -99,8 +105,8 @@ class Instance:
         self.merit_order = tuple(order)
         merit_position = np.empty(n, dtype=int)
         merit_position[order] = range(1, n + 1)
-        for array in (relevance, group_of, sizes, merit_position):
-            array.setflags(write=False)
+        for vector in (relevance, group_of, sizes, merit_position):
+            vector.setflags(write=False)
         self.relevance = relevance
         self.group_of = group_of
         self.group_sizes = sizes
@@ -509,16 +515,11 @@ def to_upper_only(constraints: ConstraintSet, instance: Instance) -> ConstraintS
 
 
 def is_feasible(instance: Instance, constraints: ConstraintSet) -> bool:
-    """Whether some ranking satisfies the bounds.
-
-    After the monotone repair, a full assignment exists exactly when every
-    prefix can be covered by the equivalent caps:
-    ``sum_k min(caps[k][i], |group k|) >= i``.
-    """
-    capacity = np.minimum(
-        _equivalent_caps(constraints, instance), instance.group_sizes[:, None]
-    ).sum(axis=0)
-    return bool((capacity >= np.arange(1, instance.n + 1)).all())
+    """Whether some ranking satisfies the bounds: whether the greedy fill
+    of the merit order places everyone (see :func:`_greedy_fill`).
+    ``ValueError`` when the constraints have no equivalent caps."""
+    _equivalent_caps(constraints, instance)
+    return -1 not in _fill(instance, constraints, instance.merit_order)[0]
 
 
 def _greedy_fill(
@@ -606,3 +607,142 @@ def _vertex(
     their own order.  Raises as :func:`_greedy_fill` does."""
     ranking = _greedy_fill(instance, constraints, order)
     return ranking, value_model.values(ranking)
+
+
+TABLE_CELL_BUDGET = 2**20
+_FLOAT_TIE_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class FairDecomposition:
+    """Partition of the individuals into blocks with strictly increasing
+    guaranteed satisfaction levels.
+
+    ``blocks[j]`` is ``(member indices, level)``; ``targets[i]`` repeats the
+    level of individual ``i``'s block.  The sorted target vector is the
+    lexicographically optimal satisfaction profile.
+    """
+
+    blocks: tuple[tuple[tuple[int, ...], float], ...]
+    targets: np.ndarray
+
+    def targets_by_id(self, instance: Instance) -> dict[str, float]:
+        return {instance.ids[i]: float(self.targets[i]) for i in range(instance.n)}
+
+
+def fair_decomposition(
+    instance: Instance, constraints: ConstraintSet, value_model: ValueModel
+) -> FairDecomposition:
+    """Exact block decomposition by repeated minimization of the marginal
+    per-member gain.
+
+    Starting from the empty set, each step finds all sets of the remaining
+    individuals minimizing ``(gain in best achievable total) / |set|`` and
+    freezes their union as the next block; the minimum is that block's
+    satisfaction level.  Levels are strictly increasing and the per-block
+    totals are conserved.
+
+    Every value is ``position_scores[pos] - merit_scores[u]``, and swapping
+    two members of one group keeps a ranking valid, so the best total of a
+    set S is ``F(c) - merit total of S``, where ``c`` counts S's members per
+    group and ``F(c)`` is the best position-score total of such a set.  For
+    fixed counts the minimizers take each group's highest merit scores, so
+    each step scans count vectors instead of subsets.  A set leading the
+    greedy fill's order takes positions that depend only on its counts, so
+    one fill per count vector of the other groups, then the largest group,
+    yields ``F`` along that group's whole axis: ``F`` is one table over the
+    count lattice, each step one array scan of it past the frozen counts.
+    Guarded, before any fill, to ``TABLE_CELL_BUDGET`` table cells.
+    """
+    n = instance.n
+    if value_model.n != n:
+        raise ValueError("value model does not match the instance size")
+    shape = tuple(int(size) + 1 for size in instance.group_sizes)
+    cells = math.prod(shape)
+    if cells > TABLE_CELL_BUDGET:
+        raise InstanceTooLarge(
+            f"the count-lattice table is limited to {TABLE_CELL_BUDGET} cells, got {cells}"
+        )
+    g = np.asarray(value_model.merit_scores)
+    # Each group's members by descending merit score, merit order breaking ties.
+    by_group: list[list[int]] = [[] for _ in shape]
+    for u in np.lexsort((instance.merit_position, -g)).tolist():
+        by_group[instance.group_of[u]].append(u)
+    # Row axis: the largest group, so the fewest fills.
+    row = int(np.argmax(shape))
+    table = np.empty(shape)
+    rows = np.moveaxis(table, row, -1)
+    lead = by_group[row]
+    others = by_group[:row] + by_group[row + 1:]
+    # One whole fill checks the caps; each table fill then walks only the
+    # leading set, whose positions do not depend on who follows it.
+    _greedy_fill(instance, constraints, instance.merit_order)
+    # scores[p] is the score of 1-based position p.  A value is a difference
+    # of scores, so taking the last position score off both score vectors
+    # changes no value, and a constant shared by every score cannot swamp
+    # the table's sums.
+    low = value_model.position_scores[-1]
+    scores = [0.0, *(f - low for f in value_model.position_scores)]
+    prefixes = [[m[:k] for k in range(len(m) + 1)] for m in others]
+    flat = array("d")
+    for picked in itertools.product(*prefixes):
+        chosen = list(itertools.chain.from_iterable(picked))
+        position = _fill(instance, constraints, chosen + lead)[1]
+        total = sum([scores[position[u]] for u in chosen])
+        flat.append(total)
+        for u in lead:
+            total += scores[position[u]]
+            flat.append(total)
+    rows[...] = np.frombuffer(flat).reshape(rows.shape)
+    integer = value_model.integer_valued
+    frozen = (0,) * len(shape)
+    blocks: list[tuple[tuple[int, ...], float]] = []
+    targets = np.empty(n, dtype=float)
+    while sum(frozen) < n:
+        rest = [m[c:] for m, c in zip(by_group, frozen)]
+        corner = tuple(len(m) + 1 for m in rest)
+        merit = [np.concatenate(([0.0], np.cumsum(g[m] - low))) for m in rest]
+        gain = table[tuple(slice(c, None) for c in frozen)] - table[frozen]
+        # Flat index 0, the empty set at the frozen corner, is left out.
+        gain = (gain - sum(np.ix_(*merit))).ravel()[1:]
+        size = sum(np.ix_(*map(np.arange, corner))).ravel()[1:]
+        ratio = gain / size
+        best = int(ratio.argmin())
+        if integer:
+            # Division rounds monotonically, so while |gain| * n < 2**52 the
+            # argmin is an exact minimizer; cross-multiplying finds every tie.
+            ties = gain * size[best] == gain[best] * size
+        else:
+            ties = ratio <= ratio[best] + _FLOAT_TIE_TOL * max(1.0, abs(ratio[best]))
+        # The minimizing sets are closed under union and under swapping
+        # members of one group tied in merit score, so the largest is a
+        # scanned prefix that already holds every such tie, and the union
+        # of the minimizing prefixes takes the largest count per group.
+        tied = np.unravel_index(np.flatnonzero(ties) + 1, corner)
+        taken = [int(axis.max()) for axis in tied]
+        block = tuple(sorted(u for m, d in zip(rest, taken) for u in m[:d]))
+        level = float(ratio[best])
+        blocks.append((block, level))
+        targets[list(block)] = level
+        frozen = tuple(c + d for c, d in zip(frozen, taken))
+    return FairDecomposition(tuple(blocks), targets)
+
+
+def _exact_error(
+    instance: Instance, constraints: ConstraintSet, value_model: ValueModel, point: np.ndarray
+) -> float | None:
+    """The largest entry of ``|point - targets|`` for the exact levels of
+    :func:`fair_decomposition`, or ``None`` past ``TABLE_CELL_BUDGET``.
+
+    For an integer-valued model each level is one rounded division of
+    exact integer sums.  Otherwise the scan merges ratios within
+    ``_FLOAT_TIE_TOL`` relative, so that much of the largest level is added.
+    """
+    try:
+        targets = fair_decomposition(instance, constraints, value_model).targets
+    except InstanceTooLarge:
+        return None
+    error = float(np.abs(point - targets).max())
+    if not value_model.integer_valued:
+        error += _FLOAT_TIE_TOL * max(1.0, float(np.abs(targets).max()))
+    return error

@@ -30,7 +30,10 @@ width ``f_1 - f_n`` of everyone's range ``[f_n - g_u, f_1 - g_u]``
 whose ``epsilon`` is at least the width ends at its first vertex.  Every
 vertex has the same sum as ``x``, so at a flat ``x`` the gap is 0 for
 every ``q``, and the solve ends without the call.  The solve stops as soon
-as a bound is at most ``epsilon``.
+as a bound is at most ``epsilon``.  A solve that stalls short of that
+builds the count table of the exact levels, within its budget, and ends
+if the stalled point lies within ``epsilon`` of them; a solve that does
+not stall never builds it.
 After each oracle call, minor cycles inside the same loop move ``x`` to
 the affine minimizer of the active vertices, dropping vertices whose
 weight reaches zero; the active set stays affinely independent, so the
@@ -60,7 +63,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConstraintSet, Instance, Ranking, ValueModel, _vertex
+from .core import ConstraintSet, Instance, Ranking, ValueModel, _exact_error, _vertex
 from .errors import IterationCapExceeded
 
 logger = logging.getLogger(__name__)
@@ -314,22 +317,27 @@ def solve_maxmin(
     with probability above ``1e-12``; no atom is dropped or reweighted
     after the certificate.
 
-    A solve that stalls raises :class:`IterationCapExceeded` with the
-    reason and the last certified bound (the width before the first gap):
-    the cap of 50,000,000 oracle calls
-    (``_ORACLE_CALL_CAP``) is reached, the oracle returns a vertex already
-    in the active set, an affine step meets a singular active set, or a
-    major cycle fails to shorten ``x``.  When ``epsilon`` is below about
-    ``m sqrt(n) 2**-26``, the float resolution of the gap, the message says
-    so; such an epsilon is not refused up front, since a gap of exactly 0
-    still ends the solve.
+    A solve stalls when the oracle returns a vertex already in the active
+    set, an affine step meets a singular active set, or a major cycle
+    fails to shorten ``x``.  The stalled point (``x``, or at the last site
+    the shorter point the active set already averages to) is then checked
+    against the exact levels of :func:`fairrank.core.fair_decomposition`,
+    when its table fits ``TABLE_CELL_BUDGET``; within ``epsilon`` of them,
+    the solve ends there.  Otherwise, and always when the cap of
+    50,000,000 oracle calls (``_ORACLE_CALL_CAP``) is reached, it raises
+    :class:`IterationCapExceeded` with the reason and the last certified
+    bound (the width before the first gap).  When ``epsilon`` is below
+    about ``m sqrt(n) 2**-26``, the float resolution of the gap, the
+    message says so; such an epsilon is not refused up front, since a gap
+    of exactly 0 still ends the solve.
 
     Each solve logs one INFO line with the keys ``oracle_calls``,
     ``iterations`` (affine solves, minor cycles included), ``support``,
     ``max_active`` (the largest active set of the solve), ``bound`` (the
     certified per-entry error) and ``stop``: ``gap`` when the last gap
     ended the solve (a flat ``x`` ends with ``bound=0 stop=gap``), ``box``
-    when the range width was at most epsilon, at the first vertex.
+    when the range width was at most epsilon, at the first vertex, and
+    ``exact`` when the exact levels certified a stall.
     """
     config = config or SolverConfig()
     if value_model.n != instance.n:
@@ -365,6 +373,16 @@ def solve_maxmin(
             )
         return IterationCapExceeded(message)
 
+    def exact(point: np.ndarray) -> bool:
+        """Whether the exact levels put ``point`` within epsilon; if so it
+        becomes ``x``, certified by that error."""
+        nonlocal x, bound, stop
+        error = _exact_error(instance, constraints, value_model, point)
+        if error is None or error > eps:
+            return False
+        x, bound, stop = point, error, "exact"
+        return True
+
     def vertex(order: Sequence[int]) -> tuple[Ranking, np.ndarray]:
         nonlocal calls
         if calls >= _ORACLE_CALL_CAP:
@@ -393,6 +411,8 @@ def solve_maxmin(
         if bound <= eps:
             break
         if ranking.order in active:
+            if exact(x):
+                break
             raise stalled("the oracle returned an active vertex")
         k = len(active)
         if buffer is None:
@@ -406,6 +426,8 @@ def solve_maxmin(
             inverse = np.array([[1.0 / (norm + 1.0)]])
         inverse = _bordered(inverse, points, q)
         if inverse is None:
+            if exact(x):
+                break
             raise stalled("singular active set in an affine step")
         points = buffer[: k + 1]
         points[k] = q
@@ -443,6 +465,8 @@ def solve_maxmin(
         shorter_x = weights.dot(points)
         shorter = float(shorter_x.dot(shorter_x))
         if not shorter < norm:
+            if exact(shorter_x):
+                break
             raise stalled("a major cycle did not shorten x")
         x, norm = shorter_x, shorter
 

@@ -21,8 +21,7 @@ from fairrank import (
     ConstraintSet, InfeasibleConstraints, Instance, Ranking, ValueModel,
     max_total_value, to_upper_only,
 )
-from fairrank.analysis import _FLOAT_TIE_TOL
-from fairrank.core import _vertex
+from fairrank.core import _FLOAT_TIE_TOL, _vertex
 
 
 class OracleResult:

@@ -15,6 +15,7 @@ from fairrank import (
     ConstraintSet,
     Instance,
     InstanceTooLarge,
+    Ranking,
     ValueModel,
     dcg,
     distribution_dcg,
@@ -143,6 +144,8 @@ def test_exact_tools_reject_a_value_model_of_another_size(size):
         min_satisfaction_bound(inst, cons, model)
     with pytest.raises(ValueError, match=match):
         max_total_value(inst, cons, model, [0, 2])
+    with pytest.raises(ValueError, match=match):
+        metrics_for_ranking(inst, model, Ranking(range(size)))
 
 
 def _two_group_instance(size: int) -> Instance:

@@ -1,6 +1,8 @@
 """The package surface: which names ``fairrank`` exports, and from where,
-and the README's python blocks."""
+which sibling modules each library module imports, and the README's python
+blocks."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -33,6 +35,28 @@ def test_package_exports_each_public_name_once():
         for name in module.__all__
     ]
     assert len(listed) == len(set(listed))
+
+
+def test_library_modules_import_only_core_and_errors():
+    """``core`` and ``errors`` are the layer every other module builds on:
+    ``analysis``, ``baseline`` and ``solver`` import no sibling but those
+    two, so any of them may call any other's core code; only ``cli`` and
+    the package itself import the rest.  The count table is core's, and
+    ``analysis`` exports that one object."""
+    allowed = {"errors": set(), "core": {"errors"}}
+    allowed.update(dict.fromkeys(["analysis", "baseline", "solver"], {"core", "errors"}))
+    for name, siblings in allowed.items():
+        module = getattr(fairrank, name)
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module:
+                    imported.add(node.module.split(".")[0])
+                else:
+                    imported.update(alias.name for alias in node.names)
+        assert imported <= siblings, (name, imported - siblings)
+    assert fairrank.fair_decomposition is analysis.fair_decomposition is core.fair_decomposition
 
 
 def test_readme_python_blocks_run():

@@ -169,16 +169,15 @@ def _ceil_roster(n):
     (80, "position-diff", 0.01),
     (160, "position-diff", 0.5),
     (160, "log-ratio", 0.01),
-    pytest.param(160, "position-diff", 0.01, marks=pytest.mark.xfail(
-        strict=True, raises=IterationCapExceeded,
-        reason="stalls at certified bound 0.0138 > 0.01 after 28 oracle calls, "
-        "when the sorted vector is already within 3e-7 of the exact levels: "
-        "the Frank-Wolfe certificate, not the solve, falls short",
-    )),
+    (160, "position-diff", 0.01),
+    (320, "position-diff", 0.01),
+    (640, "position-diff", 0.01),
 ])
 def test_solve_matches_exact_levels_at_bench_scale(n, kind, eps):
     """Sorted vector within epsilon of the exact levels on ceil-0.3 rosters
-    past the reach of the subset scan."""
+    past the reach of the subset scan.  Position-diff at 0.01 stalls from
+    n=160 on, within far less than epsilon of the exact levels, and the
+    exact levels certify it."""
     inst, cons = _ceil_roster(n)
     if kind == "position-diff":
         model = ValueModel.position_diff(inst)
@@ -493,20 +492,17 @@ def test_box_guard_reads_one_width_where_the_ranges_sit_apart(eight, eight_upper
         assert (fields["oracle_calls"], fields["bound"], fields["stop"]) == (calls, bound, stop)
 
 
-@pytest.mark.xfail(
-    strict=True, raises=IterationCapExceeded,
-    reason="stalls with 'singular active set in an affine step after 3 "
-    "oracle calls': the 2**20 offset enters the Gram matrix squared, and "
-    "_bordered's Schur test refuses a vertex that is not affinely "
-    "dependent; the same offset on u2 solves in 4 calls",
-)
-def test_large_offset_on_the_last_individual_solves(eight, eight_upper):
+@pytest.mark.parametrize("person", [f"u{i}" for i in range(1, 9)])
+def test_large_offset_on_one_individual_solves(eight, eight_upper, person):
     """Position scores ``1/i`` (width 0.875), merit offsets taken from them,
-    and u8's offset raised by 2**20: at half and three quarters of the
-    width the solve should land within epsilon of the exact levels."""
+    and one person's offset raised by 2**20: at half and three quarters of
+    the width the solve lands within epsilon of the exact levels.  With the
+    offset on u8 the 2**20 enters the Gram matrix squared, and ``_bordered``
+    refuses a vertex that is not affinely dependent, so that solve stalls
+    and the exact levels certify it."""
     f = [1 / i for i in range(1, 9)]
     g = [f[p - 1] for p in eight.merit_position]
-    g[eight.ids.index("u8")] += 2**20
+    g[eight.ids.index(person)] += 2**20
     model = ValueModel.custom(f, g)
     targets = fair_decomposition(eight, eight_upper, model).targets
     for eps in (0.4375, 0.65625):
@@ -539,29 +535,38 @@ def test_values_whose_squares_overflow_are_refused_before_the_first_call(
         assert len(calls) == 1
 
 
-def test_a_stall_names_an_epsilon_below_the_gap_resolution():
+def test_a_stall_names_an_epsilon_below_the_gap_resolution(monkeypatch, caplog):
     """The gap of values of magnitude ``m`` is float noise below about
     ``m sqrt(n) 2**-26``.  On the roster above, scores ``[1e150, 0, 0, 0]``
-    at epsilon 0.01 and ``[1e12, 0, 0, 0]`` at epsilon 1 stall, and the
-    message names that resolution; ``[1e20, 0, 0, 0]`` at 0.01 is below it
-    too, yet solves, so such an epsilon is not refused up front.  The
-    ceil-0.3 n=160 stall at 0.01 sits far above its resolution of about
-    3e-5 and keeps its message."""
+    at epsilon 0.01 stall, and the message names that resolution.
+    ``[1e12, 0, 0, 0]`` at epsilon 1 stalls at such an epsilon too, but its
+    ``x`` is the exact levels bit for bit, and they certify it with bound 0;
+    ``[1e20, 0, 0, 0]`` at 0.01 is below it too, yet its gap ends the solve,
+    so such an epsilon is not refused up front.  The ceil-0.3 n=160 stall
+    at 0.01 sits far above its resolution of about 3e-5: with the count
+    table over its budget, nothing certifies it, and it keeps its message."""
     inst = Instance.from_rows([("a", "M", 0.9), ("b", "F", 0.8), ("c", "M", 0.7), ("d", "F", 0.6)])
     cons = ConstraintSet([[0, 1, 2, 2], [1, 2, 2, 2]])
-    for top, eps, resolution in [(1e150, 0.01, "2.98e+142"), (1e12, 1.0, "2.98e+04")]:
+
+    def model(top):
         f = [top, 0.0, 0.0, 0.0]
-        model = ValueModel.custom(f, [f[p - 1] for p in inst.merit_position])
-        with pytest.raises(IterationCapExceeded) as stall:
-            solve_maxmin(inst, cons, model, SolverConfig(epsilon=eps))
-        assert str(stall.value).endswith(
-            f"; epsilon is below about {resolution}, the float resolution "
-            "of the gap at these values"
-        )
-    f = [1e20, 0.0, 0.0, 0.0]
-    model = ValueModel.custom(f, [f[p - 1] for p in inst.merit_position])
-    assert solve_maxmin(inst, cons, model, SolverConfig(epsilon=0.01)).oracle_calls == 3
+        return ValueModel.custom(f, [f[p - 1] for p in inst.merit_position])
+
+    with pytest.raises(IterationCapExceeded) as stall:
+        solve_maxmin(inst, cons, model(1e150), SolverConfig(epsilon=0.01))
+    assert str(stall.value).endswith(
+        "; epsilon is below about 2.98e+142, the float resolution "
+        "of the gap at these values"
+    )
+    with caplog.at_level(logging.INFO, logger="fairrank.solver"):
+        dist = solve_maxmin(inst, cons, model(1e12), SolverConfig(epsilon=1.0))
+    assert dist.expected.tolist() == [-1e12, 5e11, 0.0, 5e11]
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "fairrank.solver"]
+    assert line.endswith(" bound=0 stop=exact")
+    assert solve_maxmin(inst, cons, model(1e20), SolverConfig(epsilon=0.01)).oracle_calls == 3
     inst, cons = _ceil_roster(160)
+    cells = int(np.prod(inst.group_sizes + 1))
+    monkeypatch.setattr(fairrank.core, "TABLE_CELL_BUDGET", cells - 1)
     with pytest.raises(IterationCapExceeded) as stall:
         solve_maxmin(inst, cons, ValueModel.position_diff(inst), SolverConfig(epsilon=0.01))
     assert str(stall.value) == (
