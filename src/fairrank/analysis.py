@@ -39,7 +39,6 @@ __all__ = [
     "spread",
     "dcg",
     "distribution_dcg",
-    "lorenz_dominates",
     "MetricsReport",
     "metrics_for_distribution",
     "metrics_for_ranking",
@@ -132,7 +131,12 @@ def spread(values: Sequence[float]) -> float:
 
 def dcg(instance: Instance, ranking: Ranking) -> float:
     """Discounted cumulative gain of the relevance scores under the
-    standard ``1 / log2(position + 1)`` discount."""
+    standard ``1 / log2(position + 1)`` discount.  ``ValueError`` for a
+    ranking of another length."""
+    if len(ranking.position) != instance.n:
+        raise ValueError(
+            f"ranking has {len(ranking.position)} positions, the instance {instance.n}"
+        )
     positions = np.fromiter(ranking.position, dtype=float, count=instance.n)
     return float((instance.relevance / np.log2(positions + 1.0)).sum())
 
@@ -145,16 +149,6 @@ def distribution_dcg(instance: Instance, distribution) -> tuple[float, float]:
     mean = float(probs @ gains)
     var = float(probs @ (gains - mean) ** 2)
     return mean, math.sqrt(max(0.0, var))
-
-
-def lorenz_dominates(a: Sequence[float], b: Sequence[float], tol: float = 0.0) -> bool:
-    """Generalized Lorenz dominance: every ascending prefix sum of ``a``
-    covers the matching prefix sum of ``b``, up to ``tol``."""
-    xa = np.sort(np.asarray(a, dtype=float))
-    xb = np.sort(np.asarray(b, dtype=float))
-    if xa.shape != xb.shape:
-        raise ValueError("vectors must have equal length")
-    return bool(np.all(np.cumsum(xa) >= np.cumsum(xb) - tol))
 
 
 @dataclass(frozen=True)

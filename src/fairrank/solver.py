@@ -30,14 +30,17 @@ width ``f_1 - f_n`` of everyone's range ``[f_n - g_u, f_1 - g_u]``
 whose ``epsilon`` is at least the width ends at its first vertex.  Every
 vertex has the same sum as ``x``, so at a flat ``x`` the gap is 0 for
 every ``q``, and the solve ends without the call.  The solve stops as soon
-as a bound is at most ``epsilon``.  A solve that stalls short of that
-builds the count table of the exact levels, within its budget, and ends
-if the stalled point lies within ``epsilon`` of them; a solve that does
-not stall never builds it.
+as a bound is at most ``epsilon``.  Every numerical stall short of that
+leaves the loop with its reason, and one check after the loop handles
+them all (only the oracle-call cap raises at once): it builds the count
+table of the exact levels, within its budget, and ends the solve if the
+stalled point lies within ``epsilon`` of them.  A solve that does not
+stall never builds it.
 After each oracle call, minor cycles inside the same loop move ``x`` to
 the affine minimizer of the active vertices, dropping vertices whose
-weight reaches zero; the active set stays affinely independent, so the
-support never exceeds ``n``.
+weight reaches zero; one mask cuts a drop's rows, rankings and weights.
+The active set stays affinely independent, so the support never exceeds
+``n``.
 
 The affine steps read the inverse of ``P P^T + 1 1^T`` for the active rows
 ``P``, kept up to date as Wolfe kept his factor: bordered in O(k^2) when a
@@ -56,6 +59,7 @@ last affine step, which already sum to one.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -118,15 +122,16 @@ class RankedAtom:
 class FairDistribution:
     """A distribution over valid rankings with its expected satisfactions.
 
-    Built from parallel atoms: ``rankings``, their ``probabilities`` and
-    ``rows``, a 2-D array whose row ``k`` holds the per-individual values of
-    ``rankings[k]``.  The probabilities must each be at least zero and sum
-    to one within 1e-9; they are kept as given, not renormalized, and
-    ``expected`` is their dot product with the rows.  Rankings are neither
-    merged nor checked for repeats: the solver's active rankings are
-    distinct, and :func:`fairrank.cli.distribution_from_dict` merges those of
-    a stored file.  Atoms are sorted by decreasing probability, ties kept in
-    input order (for the solver, the order in which vertices joined), so the
+    Built from parallel atoms: ``rankings``, each of the instance's length,
+    their ``probabilities`` and ``rows``, a 2-D array whose row ``k`` holds
+    the per-individual values of ``rankings[k]``.  The probabilities must
+    each be at least zero and sum to one within 1e-9; they are kept as
+    given, not renormalized, and ``expected`` is their dot product with
+    the rows.  Rankings are neither merged nor checked for repeats: the
+    solver's active rankings are distinct, and
+    :func:`fairrank.cli.distribution_from_dict` merges those of a stored
+    file.  Atoms are sorted by decreasing probability, ties kept in input
+    order (for the solver, the order in which vertices joined), so the
     order needs no roster and :func:`sample` draws the same atom for the
     same input and seed; rebuilding a distribution from its own atoms gives
     the same bits.  ``lambda_phases`` records the distinct satisfaction
@@ -159,6 +164,8 @@ class FairDistribution:
                 f"support values have shape {rows.shape}, expected "
                 f"{(len(rankings), instance.n)}"
             )
+        if any(len(r.position) != instance.n for r in rankings):
+            raise ValueError(f"support rankings must each have {instance.n} positions")
         # Stable: equal probabilities keep their input order.
         ranked = sorted(
             range(len(rankings)), key=probabilities.__getitem__, reverse=True
@@ -319,12 +326,14 @@ def solve_maxmin(
 
     A solve stalls when the oracle returns a vertex already in the active
     set, an affine step meets a singular active set, or a major cycle
-    fails to shorten ``x``.  The stalled point (``x``, or at the last site
-    the shorter point the active set already averages to) is then checked
-    against the exact levels of :func:`fairrank.core.fair_decomposition`,
-    when its table fits ``TABLE_CELL_BUDGET``; within ``epsilon`` of them,
-    the solve ends there.  Otherwise, and always when the cap of
-    50,000,000 oracle calls (``_ORACLE_CALL_CAP``) is reached, it raises
+    fails to shorten ``x``.  Each such stall leaves the loop, and one check
+    after it handles every stall but the cap: the stalled point (``x``, or
+    at the last site the shorter point the active set already averages
+    to) is checked against the exact levels of
+    :func:`fairrank.core.fair_decomposition`, when its table fits
+    ``TABLE_CELL_BUDGET``; within ``epsilon`` of them, the solve ends
+    there.  Otherwise, and always when the cap of 50,000,000 oracle calls
+    (``_ORACLE_CALL_CAP``) is reached, it raises
     :class:`IterationCapExceeded` with the reason and the last certified
     bound (the width before the first gap).  When ``epsilon`` is below
     about ``m sqrt(n) 2**-26``, the float resolution of the gap, the
@@ -355,8 +364,7 @@ def solve_maxmin(
     # the width bounds every entry's error until the first gap.
     width = scores[0] - scores[-1]
     bound, stop = width, "box"
-    calls = 0
-    solves = 0
+    reason = None
 
     def stalled(reason: str) -> IterationCapExceeded:
         message = (
@@ -373,25 +381,9 @@ def solve_maxmin(
             )
         return IterationCapExceeded(message)
 
-    def exact(point: np.ndarray) -> bool:
-        """Whether the exact levels put ``point`` within epsilon; if so it
-        becomes ``x``, certified by that error."""
-        nonlocal x, bound, stop
-        error = _exact_error(instance, constraints, value_model, point)
-        if error is None or error > eps:
-            return False
-        x, bound, stop = point, error, "exact"
-        return True
-
-    def vertex(order: Sequence[int]) -> tuple[Ranking, np.ndarray]:
-        nonlocal calls
-        if calls >= _ORACLE_CALL_CAP:
-            raise stalled(f"reached the cap of {_ORACLE_CALL_CAP} oracle calls")
-        calls += 1
-        return _vertex(instance, constraints, value_model, order)
-
     # Zero weights sort into the merit order.
-    ranking, q = vertex(instance.merit_order)
+    ranking, q = _vertex(instance, constraints, value_model, instance.merit_order)
+    calls, solves = 1, 0
     active = {ranking.order: ranking}
     buffer = None
     max_active = 1
@@ -404,16 +396,19 @@ def solve_maxmin(
             # Every vertex has the sum of a flat x, so x . (x - q) = 0.
             bound, stop = 0.0, "gap"
             break
+        if calls >= _ORACLE_CALL_CAP:
+            raise stalled(f"reached the cap of {_ORACLE_CALL_CAP} oracle calls")
+        calls += 1
         # Descending weight, ties in merit order.
-        ranking, q = vertex(np.lexsort((merit, shifted)).tolist())
+        order = np.lexsort((merit, shifted)).tolist()
+        ranking, q = _vertex(instance, constraints, value_model, order)
         gap = math.sqrt(max(0.0, float(x.dot(x - q))))
         bound, stop = min(width, gap), "gap"
         if bound <= eps:
             break
         if ranking.order in active:
-            if exact(x):
-                break
-            raise stalled("the oracle returned an active vertex")
+            reason = "the oracle returned an active vertex"
+            break
         k = len(active)
         if buffer is None:
             # The active set so far is the first vertex, still x.  At most
@@ -426,9 +421,8 @@ def solve_maxmin(
             inverse = np.array([[1.0 / (norm + 1.0)]])
         inverse = _bordered(inverse, points, q)
         if inverse is None:
-            if exact(x):
-                break
-            raise stalled("singular active set in an affine step")
+            reason = "singular active set in an affine step"
+            break
         points = buffer[: k + 1]
         points[k] = q
         active[ranking.order] = ranking
@@ -453,23 +447,30 @@ def solve_maxmin(
             keep = weights > _WEIGHT_DUST
             keep[falling[first]] = False
             inverse = _without(inverse, keep)
-            kept = points[keep]
-            points = buffer[: len(kept)]
-            points[...] = kept
-            for order in [o for o, k in zip(active, keep) if not k]:
+            # Deleting keeps the other keys' hashes: a rebuilt map would
+            # rehash every active order, an n-tuple.
+            for order in [*itertools.compress(active, (~keep).tolist())]:
                 del active[order]
-            weights = weights[keep] / weights[keep].sum()
+            points = np.compress(keep, points, axis=0, out=buffer[: len(active)])
+            weights = weights[keep]
+            weights /= weights.sum()
             alpha = _affine_weights(inverse, points)
             solves += 1
         weights = alpha
         shorter_x = weights.dot(points)
         shorter = float(shorter_x.dot(shorter_x))
         if not shorter < norm:
-            if exact(shorter_x):
-                break
-            raise stalled("a major cycle did not shorten x")
+            # The active set already averages to the shorter point.
+            x = shorter_x
+            reason = "a major cycle did not shorten x"
+            break
         x, norm = shorter_x, shorter
 
+    if reason is not None:
+        error = _exact_error(instance, constraints, value_model, x)
+        if error is None or error > eps:
+            raise stalled(reason)
+        bound, stop = error, "exact"
     if buffer is None:
         probabilities, points = [1.0], x[None, :]
     else:

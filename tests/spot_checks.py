@@ -7,7 +7,8 @@ best-achievable-total set function), keep the weighted best-response
 oracle (the package's fill takes an order, which the solver sorts from its
 weights itself), and keep the plain loops that the vectorized bound
 repair, the release-position greedy fill and the count-vector
-decomposition must reproduce; they are test helpers, not part of the
+decomposition must reproduce, and the Lorenz dominance check the tests
+compare satisfaction vectors with; they are test helpers, not part of the
 package's API.
 """
 
@@ -214,3 +215,13 @@ def greedy_fill_scan(instance, constraints, order):
         out.append(queues[best_g][heads[best_g]][1])
         heads[best_g] += 1
     return Ranking(out)
+
+
+def lorenz_dominates(a: Sequence[float], b: Sequence[float], tol: float = 0.0) -> bool:
+    """Generalized Lorenz dominance: every ascending prefix sum of ``a``
+    covers the matching prefix sum of ``b``, up to ``tol``."""
+    xa = np.sort(np.asarray(a, dtype=float))
+    xb = np.sort(np.asarray(b, dtype=float))
+    if xa.shape != xb.shape:
+        raise ValueError("vectors must have equal length")
+    return bool(np.all(np.cumsum(xa) >= np.cumsum(xb) - tol))

@@ -21,7 +21,6 @@ from fairrank import (
     enumerate_valid_rankings,
     fair_decomposition,
     is_valid,
-    lorenz_dominates,
     merit_ranking,
     metrics_for_distribution,
     metrics_for_ranking,
@@ -37,7 +36,9 @@ from conftest import (
     random_upper_constraints,
     random_weights,
 )
-from spot_checks import best_response, check_submodularity, has_monge_property
+from spot_checks import (
+    best_response, check_submodularity, has_monge_property, lorenz_dominates,
+)
 
 EPSILON = 0.01
 BATCH_SIZE = 100

@@ -22,7 +22,6 @@ from fairrank import (
     enumerate_valid_rankings,
     fair_decomposition,
     gini,
-    lorenz_dominates,
     max_total_value,
     merit_ranking,
     metrics_for_distribution,
@@ -33,7 +32,7 @@ from fairrank import (
 )
 
 from conftest import random_instance, random_upper_constraints, ranking_cases
-from spot_checks import check_submodularity, subset_scan_decomposition
+from spot_checks import check_submodularity, lorenz_dominates, subset_scan_decomposition
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -321,6 +320,15 @@ def test_dcg_maximal_at_merit(eight, eight_table):
 def test_dcg_single_position():
     inst = Instance.from_rows([("a", "g", 0.8)])
     assert dcg(inst, merit_ranking(inst)) == pytest.approx(0.8)
+
+
+@pytest.mark.parametrize("order", [[3, 2, 1, 0], [1, 0]])
+def test_dcg_refuses_a_ranking_of_another_length(order):
+    """A ranking longer than the three-person roster once gave a number,
+    0.764 for ``[3, 2, 1, 0]``, from its first three positions."""
+    inst = Instance.from_rows([("a", "M", 0.9), ("b", "F", 0.5), ("c", "M", 0.2)])
+    with pytest.raises(ValueError, match=f"ranking has {len(order)} positions, the instance 3"):
+        dcg(inst, Ranking(order))
 
 
 def test_distribution_dcg_point_mass(eight, eight_model):

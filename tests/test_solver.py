@@ -10,12 +10,14 @@ from hypothesis import given, settings
 
 import fairrank.core
 import fairrank.solver
+from fairrank.core import _FLOAT_TIE_TOL
 from fairrank import (
     ConstraintSet,
     FairDistribution,
     Instance,
     InfeasibleConstraints,
     IterationCapExceeded,
+    Ranking,
     SolverConfig,
     ValueModel,
     ceil_alpha_constraints,
@@ -152,6 +154,31 @@ def test_solve_matches_exact_decomposition_in_the_tens(case):
     _matches_exact_decomposition(*case)
 
 
+def _solve_logged(caplog, inst, cons, model, eps):
+    """One solve and the ``stop`` and ``bound`` of its INFO line, the bound
+    unrounded: the float the line prints to six digits."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="fairrank.solver"):
+        dist = solve_maxmin(inst, cons, model, SolverConfig(epsilon=eps))
+    (record,) = [r for r in caplog.records if r.name == "fairrank.solver"]
+    fields = dict(item.split("=") for item in record.getMessage().split()[1:])
+    bound = record.args[-2]
+    assert f"{bound:.6g}" == fields["bound"]
+    return dist, fields["stop"], bound
+
+
+def _rescued_bound(dist, cons, model):
+    """What a stall rescued by the exact levels reports as its bound: the
+    returned distribution's largest distance from them, plus the tie margin
+    of a model that is not integer-valued.  It is read off the atoms'
+    average, so a rescue that certified another point misses it."""
+    targets = fair_decomposition(dist.instance, cons, model).targets
+    error = float(np.abs(dist.expected - targets).max())
+    if not model.integer_valued:
+        error += _FLOAT_TIE_TOL * max(1.0, float(np.abs(targets).max()))
+    return error
+
+
 def _ceil_roster(n):
     """n people, 30% of them protected (B) and drawn lower: majority scores
     U(0.3, 1), protected U(0, 0.7), under ceil-0.3 floors."""
@@ -173,19 +200,23 @@ def _ceil_roster(n):
     (320, "position-diff", 0.01),
     (640, "position-diff", 0.01),
 ])
-def test_solve_matches_exact_levels_at_bench_scale(n, kind, eps):
+def test_solve_matches_exact_levels_at_bench_scale(n, kind, eps, caplog):
     """Sorted vector within epsilon of the exact levels on ceil-0.3 rosters
     past the reach of the subset scan.  Position-diff at 0.01 stalls from
-    n=160 on, within far less than epsilon of the exact levels, and the
-    exact levels certify it."""
+    n=160 on, at a major cycle that does not shorten ``x``, within far less
+    than epsilon of the exact levels; the exact levels certify the point
+    the atoms average to, and the INFO line's bound is its error."""
     inst, cons = _ceil_roster(n)
     if kind == "position-diff":
         model = ValueModel.position_diff(inst)
     else:
         model = ValueModel.log_ratio(inst)
-    dist = solve_maxmin(inst, cons, model, SolverConfig(epsilon=eps))
+    dist, stop, bound = _solve_logged(caplog, inst, cons, model, eps)
     targets = fair_decomposition(inst, cons, model).targets
     assert np.abs(np.sort(dist.expected) - np.sort(targets)).max() <= eps
+    assert (stop == "exact") == (n >= 160 and kind == "position-diff" and eps == 0.01)
+    if stop == "exact":
+        assert bound == pytest.approx(_rescued_bound(dist, cons, model), rel=0, abs=1e-9)
 
 
 def test_degenerate_model_solves_at_once():
@@ -493,21 +524,28 @@ def test_box_guard_reads_one_width_where_the_ranges_sit_apart(eight, eight_upper
 
 
 @pytest.mark.parametrize("person", [f"u{i}" for i in range(1, 9)])
-def test_large_offset_on_one_individual_solves(eight, eight_upper, person):
+def test_large_offset_on_one_individual_solves(eight, eight_upper, person, caplog):
     """Position scores ``1/i`` (width 0.875), merit offsets taken from them,
     and one person's offset raised by 2**20: at half and three quarters of
     the width the solve lands within epsilon of the exact levels.  With the
     offset on u8 the 2**20 enters the Gram matrix squared, and ``_bordered``
     refuses a vertex that is not affinely dependent, so that solve stalls
-    and the exact levels certify it."""
+    at a singular step and the exact levels certify it; the INFO line's
+    bound is the returned vector's error plus the tie margin of a
+    non-integer model."""
     f = [1 / i for i in range(1, 9)]
     g = [f[p - 1] for p in eight.merit_position]
     g[eight.ids.index(person)] += 2**20
     model = ValueModel.custom(f, g)
     targets = fair_decomposition(eight, eight_upper, model).targets
     for eps in (0.4375, 0.65625):
-        dist = solve_maxmin(eight, eight_upper, model, SolverConfig(epsilon=eps))
+        dist, stop, bound = _solve_logged(caplog, eight, eight_upper, model, eps)
         assert np.abs(np.sort(dist.expected) - np.sort(targets)).max() <= eps
+        assert (stop == "exact") == (person == "u8")
+        if stop == "exact":
+            assert bound == pytest.approx(
+                _rescued_bound(dist, eight_upper, model), rel=0, abs=1e-9
+            )
 
 
 @pytest.mark.parametrize("top, refused", [(1e200, True), (1e154, True), (1e150, False)])
@@ -539,8 +577,9 @@ def test_a_stall_names_an_epsilon_below_the_gap_resolution(monkeypatch, caplog):
     """The gap of values of magnitude ``m`` is float noise below about
     ``m sqrt(n) 2**-26``.  On the roster above, scores ``[1e150, 0, 0, 0]``
     at epsilon 0.01 stall, and the message names that resolution.
-    ``[1e12, 0, 0, 0]`` at epsilon 1 stalls at such an epsilon too, but its
-    ``x`` is the exact levels bit for bit, and they certify it with bound 0;
+    ``[1e12, 0, 0, 0]`` at epsilon 1 stalls at such an epsilon too, on an
+    active vertex, but its ``x`` is the exact levels bit for bit, and they
+    certify it with bound 0, the returned vector's error;
     ``[1e20, 0, 0, 0]`` at 0.01 is below it too, yet its gap ends the solve,
     so such an epsilon is not refused up front.  The ceil-0.3 n=160 stall
     at 0.01 sits far above its resolution of about 3e-5: with the count
@@ -558,11 +597,10 @@ def test_a_stall_names_an_epsilon_below_the_gap_resolution(monkeypatch, caplog):
         "; epsilon is below about 2.98e+142, the float resolution "
         "of the gap at these values"
     )
-    with caplog.at_level(logging.INFO, logger="fairrank.solver"):
-        dist = solve_maxmin(inst, cons, model(1e12), SolverConfig(epsilon=1.0))
+    dist, stop, bound = _solve_logged(caplog, inst, cons, model(1e12), 1.0)
     assert dist.expected.tolist() == [-1e12, 5e11, 0.0, 5e11]
-    (line,) = [r.getMessage() for r in caplog.records if r.name == "fairrank.solver"]
-    assert line.endswith(" bound=0 stop=exact")
+    assert (stop, bound) == ("exact", 0.0)
+    assert bound == pytest.approx(_rescued_bound(dist, cons, model(1e12)), rel=0, abs=1e-9)
     assert solve_maxmin(inst, cons, model(1e20), SolverConfig(epsilon=0.01)).oracle_calls == 3
     inst, cons = _ceil_roster(160)
     cells = int(np.prod(inst.group_sizes + 1))
@@ -669,6 +707,16 @@ def test_distribution_validates_probabilities(eight, eight_model):
         FairDistribution(eight, [r], [1.0], rows[:, :-1])
     with pytest.raises(ValueError):
         FairDistribution(eight, [], [], np.empty((0, 8)))
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2, 3], [0, 1]])
+def test_distribution_refuses_a_ranking_of_another_length(order):
+    """Rows of the right shape do not make a ranking of another length an
+    atom: ``[0, 1, 2, 3]`` on a three-person roster once built, and
+    ``distribution_dcg`` gave 1.315 from its first three positions."""
+    inst = Instance.from_rows([("a", "M", 0.9), ("b", "F", 0.5), ("c", "M", 0.2)])
+    with pytest.raises(ValueError, match="support rankings must each have 3 positions"):
+        FairDistribution(inst, [Ranking(order)], [1.0], np.zeros((1, 3)))
 
 
 def test_distribution_keeps_repeated_rankings(eight, eight_model):
