@@ -74,9 +74,12 @@ def max_total_value(
     """Largest total value the given individuals can attain simultaneously
     in any valid ranking: their total in the greedy fill of the members in
     merit order, then everyone else in merit order (the order 0/1 weights
-    sort to), exact in floats for integer value models."""
+    sort to), exact in floats for integer value models.  ``ValueError``
+    when ``n`` values of the model's largest magnitude overflow."""
     if value_model.n != instance.n:
         raise ValueError("value model does not match the instance size")
+    if not math.isfinite(instance.n * value_model._magnitude):
+        raise ValueError("values this large overflow a total of n of them")
     chosen = np.zeros(instance.n, dtype=bool)
     for i in members:
         i = int(i)

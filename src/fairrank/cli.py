@@ -126,7 +126,7 @@ def parse_instance(text: str) -> Instance:
         triples.append((id_, group, score))
     if not triples:
         raise ParseError("no data rows")
-    return Instance.from_rows(triples)
+    return Instance(triples)
 
 
 def load_constraints(instance: Instance, spec: dict) -> ConstraintSet:
@@ -341,7 +341,7 @@ def _stored_roster(data) -> Instance:
     _check_stored(data)
     support = data["support"]
     ids = support[0]["ranking"] if support else [""]
-    return Instance.from_rows((u, "", 0.0) for u in ids)
+    return Instance((u, "", 0.0) for u in ids)
 
 
 def _emit(payload: dict, output: str | None) -> None:
@@ -429,7 +429,7 @@ def _cmd_sample(args) -> dict:
     else:
         instance, constraints = _stored_roster(data), None
     # A draw reads no values, so a zero value model will do.
-    zero = ValueModel.custom([0.0] * instance.n, [0.0] * instance.n)
+    zero = ValueModel([0.0] * instance.n, [0.0] * instance.n)
     distribution = distribution_from_dict(instance, zero, data, constraints)
     ranking = sample(distribution, args.seed)
     return {"ranking": list(ranking.ids(instance)), "seed": args.seed}

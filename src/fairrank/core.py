@@ -114,8 +114,7 @@ class Instance:
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple[str, str, float]]) -> "Instance":
-        """The instance of ``(id, group_label, score)`` rows: the same as
-        ``Instance(rows)``."""
+        """``Instance(rows)``, kept only because ``perfbench/`` calls it."""
         return cls(rows)
 
     def group_index(self, label_or_index: str | int) -> int:
@@ -267,6 +266,8 @@ class ValueModel:
     def custom(
         cls, position_scores: Sequence[float], merit_scores: Sequence[float]
     ) -> "ValueModel":
+        """``ValueModel(position_scores, merit_scores)``, kept only because
+        ``perfbench/`` calls it."""
         return cls(position_scores, merit_scores)
 
     @property
@@ -412,16 +413,6 @@ class ConstraintSet:
         first ``i`` positions, no floors.  A rule or a bound file builds one
         set from these caps, not this set as well."""
         return cls(_vacuous_upper(instance))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ConstraintSet)
-            and self.upper == other.upper
-            and self.lower == other.lower
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.upper, self.lower))
 
     def __repr__(self) -> str:
         return f"ConstraintSet(groups={self.n_groups}, positions={self.n})"
@@ -613,7 +604,7 @@ TABLE_CELL_BUDGET = 2**20
 _FLOAT_TIE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FairDecomposition:
     """Partition of the individuals into blocks with strictly increasing
     guaranteed satisfaction levels.
@@ -652,7 +643,10 @@ def fair_decomposition(
     one fill per count vector of the other groups, then the largest group,
     yields ``F`` along that group's whole axis: ``F`` is one table over the
     count lattice, each step one array scan of it past the frozen counts.
-    Guarded, before any fill, to ``TABLE_CELL_BUDGET`` table cells.
+    Guarded, before any fill, to ``TABLE_CELL_BUDGET`` table cells, and to
+    values whose ``3 n^2 m`` (``m`` bounds every value's magnitude) is
+    finite, and below 2**53 for an integer-valued model; past either guard
+    it raises :class:`InstanceTooLarge`.
     """
     n = instance.n
     if value_model.n != n:
@@ -662,6 +656,14 @@ def fair_decomposition(
     if cells > TABLE_CELL_BUDGET:
         raise InstanceTooLarge(
             f"the count-lattice table is limited to {TABLE_CELL_BUDGET} cells, got {cells}"
+        )
+    # A gain reaches 3 n m (m bounds every |value|), and the integer tie test
+    # multiplies it by a set size up to n: finite, and exact below 2**53.
+    integer = value_model.integer_valued
+    reach = 3 * n * n * value_model._magnitude
+    if not reach < (2.0**53 if integer else math.inf):
+        raise InstanceTooLarge(
+            f"values this large overflow the count table's exact sums: 3 n^2 m = {reach:.3g}"
         )
     g = np.asarray(value_model.merit_scores)
     # Each group's members by descending merit score, merit order breaking ties.
@@ -694,7 +696,6 @@ def fair_decomposition(
             total += scores[position[u]]
             flat.append(total)
     rows[...] = np.frombuffer(flat).reshape(rows.shape)
-    integer = value_model.integer_valued
     frozen = (0,) * len(shape)
     blocks: list[tuple[tuple[int, ...], float]] = []
     targets = np.empty(n, dtype=float)
@@ -709,8 +710,9 @@ def fair_decomposition(
         ratio = gain / size
         best = int(ratio.argmin())
         if integer:
-            # Division rounds monotonically, so while |gain| * n < 2**52 the
-            # argmin is an exact minimizer; cross-multiplying finds every tie.
+            # Division rounds monotonically, so with every |gain| * n below
+            # 2**53 the argmin is an exact minimizer; cross-multiplying finds
+            # every tie.
             ties = gain * size[best] == gain[best] * size
         else:
             ties = ratio <= ratio[best] + _FLOAT_TIE_TOL * max(1.0, abs(ratio[best]))
@@ -732,7 +734,7 @@ def _exact_error(
     instance: Instance, constraints: ConstraintSet, value_model: ValueModel, point: np.ndarray
 ) -> float | None:
     """The largest entry of ``|point - targets|`` for the exact levels of
-    :func:`fair_decomposition`, or ``None`` past ``TABLE_CELL_BUDGET``.
+    :func:`fair_decomposition`, or ``None`` past one of its guards.
 
     For an integer-valued model each level is one rounded division of
     exact integer sums.  Otherwise the scan merges ratios within

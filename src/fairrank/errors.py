@@ -21,7 +21,9 @@ class InfeasibleConstraints(FairRankingError):
 
 
 class InstanceTooLarge(FairRankingError):
-    """An exact enumeration routine was asked to exceed its size guard."""
+    """An exact tool was asked to exceed its guard: enumeration past its
+    roster size, or the count table of the block decomposition past its
+    cell budget or past the values its sums hold exactly."""
 
 
 class IterationCapExceeded(FairRankingError):

@@ -33,7 +33,7 @@ every ``q``, and the solve ends without the call.  The solve stops as soon
 as a bound is at most ``epsilon``.  Every numerical stall short of that
 leaves the loop with its reason, and one check after the loop handles
 them all (only the oracle-call cap raises at once): it builds the count
-table of the exact levels, within its budget, and ends the solve if the
+table of the exact levels, within its guards, and ends the solve if the
 stalled point lies within ``epsilon`` of them.  A solve that does not
 stall never builds it.
 After each oracle call, minor cycles inside the same loop move ``x`` to
@@ -330,8 +330,8 @@ def solve_maxmin(
     after it handles every stall but the cap: the stalled point (``x``, or
     at the last site the shorter point the active set already averages
     to) is checked against the exact levels of
-    :func:`fairrank.core.fair_decomposition`, when its table fits
-    ``TABLE_CELL_BUDGET``; within ``epsilon`` of them, the solve ends
+    :func:`fairrank.core.fair_decomposition`, when its table passes its
+    guards; within ``epsilon`` of them, the solve ends
     there.  Otherwise, and always when the cap of 50,000,000 oracle calls
     (``_ORACLE_CALL_CAP``) is reached, it raises
     :class:`IterationCapExceeded` with the reason and the last certified

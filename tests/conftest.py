@@ -16,7 +16,6 @@ import pytest
 from fairrank import (
     ConstraintSet,
     Instance,
-    Ranking,
     ValueModel,
     ceil_alpha_constraints,
     floor_balanced_constraints,
@@ -38,7 +37,7 @@ EIGHT_ROWS = [
 
 @pytest.fixture(scope="session")
 def eight() -> Instance:
-    return Instance.from_rows(EIGHT_ROWS)
+    return Instance(EIGHT_ROWS)
 
 
 @pytest.fixture(scope="session")
@@ -56,22 +55,6 @@ def eight_model(eight) -> ValueModel:
     return ValueModel.position_diff(eight)
 
 
-def eight_optimal_distribution(instance: Instance):
-    """A hand-checked maxmin-fair distribution for the eight fixture.
-
-    Mixes four rankings so that every M lands at exactly -0.75, u3 at 0,
-    and u6, u7, u8 at +1.  Used as a feasibility witness, not as the
-    required solver output.
-    """
-    support = [
-        (("u1", "u2", "u3", "u6", "u4", "u7", "u5", "u8"), 0.25),
-        (("u2", "u1", "u3", "u6", "u4", "u8", "u5", "u7"), 0.50),
-        (("u1", "u2", "u3", "u6", "u5", "u7", "u4", "u8"), 1 / 16),
-        (("u2", "u1", "u3", "u6", "u5", "u8", "u4", "u7"), 3 / 16),
-    ]
-    return [(Ranking.from_ids(instance, ids), p) for ids, p in support]
-
-
 def random_instance(rng, n=None, groups=2, max_n=7):
     if n is None:
         n = int(rng.integers(2, max_n + 1))
@@ -85,7 +68,7 @@ def random_instance(rng, n=None, groups=2, max_n=7):
         (f"u{i + 1}", labels[assignment[i] % groups], float(scores[i]))
         for i in range(n)
     ]
-    return Instance.from_rows(rows)
+    return Instance(rows)
 
 
 def random_upper_constraints(rng, instance):
@@ -147,7 +130,7 @@ def ranking_cases(draw, min_n=1, max_n=7, floors=False):
     else:
         scores = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
         scores = [s / 10 for s in scores]
-    inst = Instance.from_rows(
+    inst = Instance(
         (f"u{i + 1}", "ABC"[g], s) for i, (g, s) in enumerate(zip(groups, scores))
     )
     witness = draw(st.permutations(range(n)))
@@ -171,5 +154,5 @@ def ranking_cases(draw, min_n=1, max_n=7, floors=False):
     else:
         f = draw(st.lists(st.integers(0, 2 * n), min_size=n, max_size=n))
         f.sort(reverse=True)
-        model = ValueModel.custom(f, [f[p - 1] for p in inst.merit_position])
+        model = ValueModel(f, [f[p - 1] for p in inst.merit_position])
     return inst, cons, model

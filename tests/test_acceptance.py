@@ -239,7 +239,7 @@ def _skewed_sixty() -> Instance:
         rows.append(
             (f"{key}{counts[key]:02d}", label, round(0.99 - 0.012 * (pos - 1), 3))
         )
-    return Instance.from_rows(rows)
+    return Instance(rows)
 
 
 def test_criterion_7_alpha_grid_orderings():

@@ -55,7 +55,7 @@ def test_enumeration_count_and_validity(eight, eight_table):
 
 def _flat_instance(n: int) -> Instance:
     scores = np.linspace(1.0, 0.5, n)
-    return Instance.from_rows((f"x{i:02d}", "a", scores[i]) for i in range(n))
+    return Instance((f"x{i:02d}", "a", scores[i]) for i in range(n))
 
 
 def test_enumeration_guard():
@@ -104,7 +104,7 @@ def test_max_total_value_matches_enumeration(eight, eight_lower, eight_model, ei
             ValueModel.position_diff(inst),
             ValueModel.log_ratio(inst),
             ValueModel.top_k_selection(inst, k=int(rng.integers(1, inst.n + 1))),
-            ValueModel.custom(f, [f[p - 1] for p in inst.merit_position]),
+            ValueModel(f, [f[p - 1] for p in inst.merit_position]),
         ][k % 4]
         matrix = np.stack([model.values(r) for r in rankings])
         for _ in range(5):
@@ -133,9 +133,9 @@ def test_min_satisfaction_bound_vacuous(eight, eight_model):
 
 @pytest.mark.parametrize("size", [2, 4])
 def test_exact_tools_reject_a_value_model_of_another_size(size):
-    inst = Instance.from_rows([("a", "g", 0.9), ("b", "h", 0.5), ("c", "g", 0.1)])
+    inst = Instance([("a", "g", 0.9), ("b", "h", 0.5), ("c", "g", 0.1)])
     cons = ConstraintSet.vacuous(inst)
-    model = ValueModel.custom(range(size, 0, -1), range(size))
+    model = ValueModel(range(size, 0, -1), range(size))
     match = "value model does not match the instance size"
     with pytest.raises(ValueError, match=match):
         fair_decomposition(inst, cons, model)
@@ -148,7 +148,7 @@ def test_exact_tools_reject_a_value_model_of_another_size(size):
 
 
 def _two_group_instance(size: int) -> Instance:
-    return Instance.from_rows(
+    return Instance(
         (f"x{i:03d}", "ab"[i % 2], 1.0 - i / (4 * size)) for i in range(2 * size)
     )
 
@@ -169,6 +169,55 @@ def test_count_scan_guard():
         flat, ConstraintSet.vacuous(flat), ValueModel.position_diff(flat)
     )
     assert dec.blocks == ((tuple(range(4095)), 0.0),)
+
+
+def test_exact_tools_refuse_values_they_cannot_sum():
+    """Scores of 1.7e308 overflowed the count table's products, which gave
+    one block at 1.7e308 though the common level is 8.5e307, and
+    ``max_total_value``'s sum, which gave ``inf``.  A model of 1e308 on two
+    people has a finite value range, yet its integer tie test overflowed.
+    Each now refuses before any arithmetic, so no warning is raised (the
+    suite turns every warning into an error)."""
+    inst = Instance([("a", "M", 0.9), ("b", "F", 0.5), ("c", "M", 0.2), ("d", "F", 0.1)])
+    cons = ConstraintSet.vacuous(inst)
+    model = ValueModel([1.7e308, 1.7e308, 0.0, 0.0], [0.0] * 4)
+    for tool in (fair_decomposition, min_satisfaction_bound):
+        with pytest.raises(InstanceTooLarge, match=r"exact sums: 3 n\^2 m = inf$"):
+            tool(inst, cons, model)
+    with pytest.raises(ValueError, match="^values this large overflow a total of n of them$"):
+        max_total_value(inst, cons, model, [0, 1, 2, 3])
+    pair = Instance([("a", "M", 0.9), ("b", "F", 0.5)])
+    edge = ValueModel([1e308, 0.0], [0.0, 0.0])
+    with pytest.raises(InstanceTooLarge, match=r"exact sums: 3 n\^2 m = inf$"):
+        fair_decomposition(pair, ConstraintSet.vacuous(pair), edge)
+
+
+def test_integer_table_refuses_sums_past_two_to_the_53():
+    """Integer scores are summed and cross-multiplied exactly only below
+    2**53.  Scaled by 2**55 + 8, this roster's levels came out -12.8,
+    -16.0 and 0.0, not increasing, with targets summing to -80 where every
+    ranking's total is 0; at scale 1 it is one block at 0."""
+    inst = Instance([
+        ("u0", "B", 3), ("u1", "A", 4), ("u2", "A", 2), ("u3", "A", 4),
+        ("u4", "B", 0), ("u5", "A", 0), ("u6", "B", 4),
+    ])
+    cons = ConstraintSet([[0, 1, 3, 3, 3, 3, 3], [1, 2, 3, 4, 4, 4, 4]])
+
+    def model(scale):
+        f = [x * scale for x in (5, 5, 5, 5, 4, 3, 2)]
+        return ValueModel(f, [f[p - 1] for p in inst.merit_position])
+
+    with pytest.raises(InstanceTooLarge, match=r"exact sums: 3 n\^2 m = 1.59e[+]19$"):
+        fair_decomposition(inst, cons, model(2**55 + 8))
+    assert fair_decomposition(inst, cons, model(1)).blocks == ((tuple(range(7)), 0.0),)
+
+
+def test_decompositions_compare_and_hash_by_identity(eight, eight_lower, eight_model):
+    """A generated ``==`` compared the ``targets`` arrays, which raised
+    numpy's ambiguous truth value, and ``hash`` raised ``TypeError``."""
+    one, two = (fair_decomposition(eight, eight_lower, eight_model) for _ in range(2))
+    assert one == one and one != two
+    assert len({one, two}) == 2
 
 
 def test_decomposition_golden(eight, eight_lower, eight_model):
@@ -193,7 +242,7 @@ def test_decomposition_ignores_a_constant_offset(eight, eight_lower):
     a table of position totals that kept the offset would round away their
     low bits."""
     f = [2.0**52 + (8 - i) for i in range(1, 9)]
-    model = ValueModel.custom(f, [f[p - 1] for p in eight.merit_position])
+    model = ValueModel(f, [f[p - 1] for p in eight.merit_position])
     dec = fair_decomposition(eight, eight_lower, model)
     assert dec.blocks == (((0, 1, 3, 4), -0.75), ((2,), 0.0), ((5, 6, 7), 1.0))
     assert min_satisfaction_bound(eight, eight_lower, model) == -0.75
@@ -318,7 +367,7 @@ def test_dcg_maximal_at_merit(eight, eight_table):
 
 
 def test_dcg_single_position():
-    inst = Instance.from_rows([("a", "g", 0.8)])
+    inst = Instance([("a", "g", 0.8)])
     assert dcg(inst, merit_ranking(inst)) == pytest.approx(0.8)
 
 
@@ -326,7 +375,7 @@ def test_dcg_single_position():
 def test_dcg_refuses_a_ranking_of_another_length(order):
     """A ranking longer than the three-person roster once gave a number,
     0.764 for ``[3, 2, 1, 0]``, from its first three positions."""
-    inst = Instance.from_rows([("a", "M", 0.9), ("b", "F", 0.5), ("c", "M", 0.2)])
+    inst = Instance([("a", "M", 0.9), ("b", "F", 0.5), ("c", "M", 0.2)])
     with pytest.raises(ValueError, match=f"ranking has {len(order)} positions, the instance 3"):
         dcg(inst, Ranking(order))
 

@@ -437,7 +437,7 @@ def test_a_support_of_5040_atoms_round_trips_through_json():
     of itself off, so the stored mass stays within 1e-9 of one at any
     support size: all 5,040 rankings of 7 people, with uneven
     probabilities, reload atom for atom."""
-    inst = fairrank.Instance.from_rows(
+    inst = fairrank.Instance(
         (f"u{i}", "MF"[i % 2], 1.0 - i / 10) for i in range(7)
     )
     model = fairrank.ValueModel.position_diff(inst)

@@ -100,14 +100,14 @@ def test_custom_ties_reach_the_optimum_quickly():
         ("u4", "C", 0.5935), ("u5", "C", 0.649), ("u6", "A", 0.9119),
         ("u7", "A", 0.6485), ("u8", "A", 0.8972), ("u9", "B", 0.0534),
     ]
-    inst = Instance.from_rows(rows)
+    inst = Instance(rows)
     cons = load_constraints(inst, {"upper": {
         "A": [1, 0, 3, 1, 1, 3, 3, 4, 5],
         "B": [2, 1, 2, 1, 1, 1, 3, 3, 3],
         "C": [0, 3, 1, 4, 5, 4, 6, 6, 5],
     }})
     f = [15, 14, 11, 10, 10, 9, 7, 0, 0]
-    model = ValueModel.custom(f, [f[p - 1] for p in inst.merit_position])
+    model = ValueModel(f, [f[p - 1] for p in inst.merit_position])
     dist = solve_maxmin(inst, cons, model, SolverConfig(epsilon=0.01))
     dec = fair_decomposition(inst, cons, model)
     gap = np.sort(dist.expected) - np.sort(dec.targets)
@@ -188,7 +188,7 @@ def _ceil_roster(n):
     protected = rng.uniform(0.0, 0.7, p)
     rows = [(f"a{i + 1}", "A", float(s)) for i, s in enumerate(majority)]
     rows += [(f"b{i + 1}", "B", float(s)) for i, s in enumerate(protected)]
-    inst = Instance.from_rows(rows)
+    inst = Instance(rows)
     return inst, ceil_alpha_constraints(inst, 0.3, "B")
 
 
@@ -220,8 +220,8 @@ def test_solve_matches_exact_levels_at_bench_scale(n, kind, eps, caplog):
 
 
 def test_degenerate_model_solves_at_once():
-    inst = Instance.from_rows([("a", "g", 0.9), ("b", "h", 0.5), ("c", "g", 0.1)])
-    model = ValueModel.custom([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
+    inst = Instance([("a", "g", 0.9), ("b", "h", 0.5), ("c", "g", 0.1)])
+    model = ValueModel([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
     dist = solve_maxmin(inst, ConstraintSet.vacuous(inst), model)
     assert dist.expected.tolist() == [0.0, 0.0, 0.0]
     assert dist.oracle_calls == 1
@@ -308,10 +308,10 @@ def test_half_width_epsilon_ends_on_the_gap(caplog):
     Offsets of 2**20, about 1e6 above the range (a power of two, so every
     value stays exact), and an epsilon just below 1 end the same way.  An
     empty model still constructs."""
-    inst = Instance.from_rows([("a", "A", 0.9), ("b", "B", 0.1)])
+    inst = Instance([("a", "A", 0.9), ("b", "B", 0.1)])
     cons = ConstraintSet.vacuous(inst)
     for offset, eps in ((0.0, 1.0), (2.0**20, 1.0), (0.0, 1.0 - 1e-12)):
-        model = ValueModel.custom([2.0, 0.0], [offset, offset])
+        model = ValueModel([2.0, 0.0], [offset, offset])
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="fairrank.solver"):
             dist = solve_maxmin(inst, cons, model, SolverConfig(epsilon=eps))
@@ -319,7 +319,7 @@ def test_half_width_epsilon_ends_on_the_gap(caplog):
         assert " oracle_calls=2 " in line
         assert line.endswith(" bound=0 stop=gap")
         assert dist.expected.tolist() == [1.0 - offset] * 2
-    empty = ValueModel.custom([], [])
+    empty = ValueModel([], [])
     assert empty.n == 0
 
 
@@ -507,7 +507,7 @@ def test_box_guard_reads_one_width_where_the_ranges_sit_apart(eight, eight_upper
     f = [1 / i for i in range(1, 9)]
     g = [f[p - 1] for p in eight.merit_position]
     g[eight.ids.index("u2")] += 2**20
-    model = ValueModel.custom(f, g)
+    model = ValueModel(f, g)
     half = 0.5 * (f[0] - f[-1])
     pinned = {
         half: ("4", "0.206207", "gap"),
@@ -536,7 +536,7 @@ def test_large_offset_on_one_individual_solves(eight, eight_upper, person, caplo
     f = [1 / i for i in range(1, 9)]
     g = [f[p - 1] for p in eight.merit_position]
     g[eight.ids.index(person)] += 2**20
-    model = ValueModel.custom(f, g)
+    model = ValueModel(f, g)
     targets = fair_decomposition(eight, eight_upper, model).targets
     for eps in (0.4375, 0.65625):
         dist, stop, bound = _solve_logged(caplog, eight, eight_upper, model, eps)
@@ -559,10 +559,10 @@ def test_values_whose_squares_overflow_are_refused_before_the_first_call(
     (a RuntimeWarning, an error under the test suite's filter).  At 1e150
     the check passes: an epsilon of the range width ends that solve at its
     first vertex."""
-    inst = Instance.from_rows([("a", "M", 0.9), ("b", "F", 0.8), ("c", "M", 0.7), ("d", "F", 0.6)])
+    inst = Instance([("a", "M", 0.9), ("b", "F", 0.8), ("c", "M", 0.7), ("d", "F", 0.6)])
     cons = ConstraintSet([[0, 1, 2, 2], [1, 2, 2, 2]])
     f = [top, 0.0, 0.0, 0.0]
-    model = ValueModel.custom(f, [f[p - 1] for p in inst.merit_position])
+    model = ValueModel(f, [f[p - 1] for p in inst.merit_position])
     calls = _count_calls(monkeypatch, fairrank.solver, "_vertex")
     if refused:
         with pytest.raises(ValueError, match="overflow the solver's sums of squares"):
@@ -584,12 +584,12 @@ def test_a_stall_names_an_epsilon_below_the_gap_resolution(monkeypatch, caplog):
     so such an epsilon is not refused up front.  The ceil-0.3 n=160 stall
     at 0.01 sits far above its resolution of about 3e-5: with the count
     table over its budget, nothing certifies it, and it keeps its message."""
-    inst = Instance.from_rows([("a", "M", 0.9), ("b", "F", 0.8), ("c", "M", 0.7), ("d", "F", 0.6)])
+    inst = Instance([("a", "M", 0.9), ("b", "F", 0.8), ("c", "M", 0.7), ("d", "F", 0.6)])
     cons = ConstraintSet([[0, 1, 2, 2], [1, 2, 2, 2]])
 
     def model(top):
         f = [top, 0.0, 0.0, 0.0]
-        return ValueModel.custom(f, [f[p - 1] for p in inst.merit_position])
+        return ValueModel(f, [f[p - 1] for p in inst.merit_position])
 
     with pytest.raises(IterationCapExceeded) as stall:
         solve_maxmin(inst, cons, model(1e150), SolverConfig(epsilon=0.01))
@@ -633,7 +633,7 @@ def test_solve_logs_one_info_line(eight, eight_upper, eight_model, caplog):
 def test_single_individual_instance():
     from fairrank import Instance
 
-    inst = Instance.from_rows([("only", "g", 1.0)])
+    inst = Instance([("only", "g", 1.0)])
     model = ValueModel.position_diff(inst)
     dist = solve_maxmin(inst, ConstraintSet.vacuous(inst), model)
     assert dist.support_size == 1
@@ -661,7 +661,7 @@ def test_solver_input_validation(eight, eight_upper, eight_model):
     blocked = ConstraintSet(np.zeros((2, 8), dtype=int))
     with pytest.raises(InfeasibleConstraints):
         solve_maxmin(eight, blocked, eight_model)
-    small = ValueModel.custom([1.0, 0.0], [0.0, 0.0])
+    small = ValueModel([1.0, 0.0], [0.0, 0.0])
     with pytest.raises(ValueError):
         solve_maxmin(eight, eight_upper, small)
 
@@ -714,7 +714,7 @@ def test_distribution_refuses_a_ranking_of_another_length(order):
     """Rows of the right shape do not make a ranking of another length an
     atom: ``[0, 1, 2, 3]`` on a three-person roster once built, and
     ``distribution_dcg`` gave 1.315 from its first three positions."""
-    inst = Instance.from_rows([("a", "M", 0.9), ("b", "F", 0.5), ("c", "M", 0.2)])
+    inst = Instance([("a", "M", 0.9), ("b", "F", 0.5), ("c", "M", 0.2)])
     with pytest.raises(ValueError, match="support rankings must each have 3 positions"):
         FairDistribution(inst, [Ranking(order)], [1.0], np.zeros((1, 3)))
 
